@@ -239,6 +239,7 @@ fn counter_delta(after: StoreReport, before: StoreReport) -> StoreReport {
         misses: after.misses - before.misses,
         verify_failures: after.verify_failures - before.verify_failures,
         appends: after.appends - before.appends,
+        write_failures: after.write_failures - before.write_failures,
         torn_records: after.torn_records - before.torn_records,
         records: after.records,
         segments: after.segments,

@@ -6,14 +6,43 @@
 //!         [fig1|table1|table2|table3|fig3..fig13|calibrate|ablations|reuse|thermal|all]
 //! ```
 //!
-//! With no selector, prints everything (`all`). `--json FILE` additionally
-//! dumps every per-run result as JSON for downstream plotting. `--threads N`
-//! sets the worker count for the parallel sweeps (default: the
-//! `LEAKAGE_THREADS` environment variable, else all hardware threads).
+//! With no selector, prints everything (`all`); an unknown selector or
+//! flag is an error. `--json FILE` additionally dumps every per-run
+//! result as JSON for downstream plotting. `--threads N` sets the worker
+//! count for the parallel sweeps (default: the `LEAKAGE_THREADS`
+//! environment variable, else all hardware threads).
 
 use hotleakage::validation::{self, SweepKind};
 use hotleakage::{Environment, TechNode};
 use simcore::{figures, report, Study, StudyConfig};
+
+/// Every selector the positional argument accepts (`nand_kdesign` and
+/// `cal` are aliases of `fig2` and `calibrate`).
+const SELECTORS: &[&str] = &[
+    "all",
+    "table1",
+    "table2",
+    "table3",
+    "fig1",
+    "fig2",
+    "nand_kdesign",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "calibrate",
+    "cal",
+    "ablations",
+    "reuse",
+    "thermal",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,7 +73,12 @@ fn main() {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| die("--threads needs a positive number"));
             }
-            other => what = other.to_string(),
+            other if SELECTORS.contains(&other) => what = other.to_string(),
+            other => die(&format!(
+                "unknown argument `{other}`; flags are --insts N, --json FILE, \
+                 --threads N; selectors are {}",
+                SELECTORS.join(" ")
+            )),
         }
     }
     let study = Study::with_threads(StudyConfig::with_insts(insts), threads);

@@ -538,16 +538,6 @@ impl Cache {
         if self.decay.is_none() {
             return;
         }
-        // `pre-fix-stale-counter` (CI mutation smoke only) carries each
-        // line's saturation progress into the new regime so the model
-        // checker can demonstrate the original bug; the fixed behavior
-        // restarts every counter.
-        #[cfg(feature = "pre-fix-stale-counter")]
-        for i in 0..self.cfg.num_lines() {
-            let stale = self.local_counter(i);
-            self.slab.base_count[i] = stale;
-        }
-        #[cfg(not(feature = "pre-fix-stale-counter"))]
         for base in &mut self.slab.base_count {
             *base = 0;
         }
@@ -752,12 +742,7 @@ impl Cache {
             self.slab.set_dirty(i, true);
         }
         self.slab.lru_stamp[i] = stamp;
-        // Mirror the decayed path's seeded accounting bug (CI mutation
-        // smoke): the hit count is dropped under that feature.
-        #[cfg(not(feature = "seeded-accounting-bug"))]
-        {
-            self.stats.hits += 1;
-        }
+        self.stats.hits += 1;
         AccessResult {
             hit: true,
             extra_latency: 0,
@@ -820,32 +805,13 @@ impl Cache {
         self.slab.reset_sweep[i] = self.global.wraps;
         self.slab.lru_stamp[i] = stamp;
         if !fresh && matches!(decay.map(|d| d.policy), Some(DecayPolicy::NoAccess)) {
-            // `wheel-bug` (CI mutation smoke only): drop the reschedule
-            // when a deadline is already pending, so a touched line still
-            // decays at its stale deadline. The differential suite and the
-            // schedule-coherence audit both exist to catch exactly this.
-            #[cfg(feature = "wheel-bug")]
-            let keep_stale = self
-                .wheel
-                .as_ref()
-                .is_some_and(|w| w.is_scheduled(Self::decay_event_id(i)));
-            #[cfg(not(feature = "wheel-bug"))]
-            let keep_stale = false;
-            if !keep_stale {
-                self.reschedule_decay(i);
-            }
+            self.reschedule_decay(i);
         }
         if woke {
             self.stats.wakes += 1;
             self.stats.slow_hits += 1;
         } else {
-            // A deliberately seeded accounting bug for CI's mutation smoke
-            // check: dropping the hit count changes no timing result, so
-            // only the conservation audit can catch it.
-            #[cfg(not(feature = "seeded-accounting-bug"))]
-            {
-                self.stats.hits += 1;
-            }
+            self.stats.hits += 1;
         }
         if probed_tag {
             self.stats.tag_probes += 1;
@@ -934,7 +900,7 @@ impl Cache {
     /// on the next full-interval wrap. (Transition expiries are resolved
     /// lazily and carry no events — see the `wheel` field.) This is the
     /// audit-side net for dropped or stale reschedules (the `wheel-bug`
-    /// mutation smoke).
+    /// mutant in `mutants/`).
     ///
     /// # Errors
     ///
@@ -1391,8 +1357,8 @@ mod tests {
     #[test]
     fn audit_passes_on_real_workloads() {
         // The audit net itself: any dropped or double-counted event in the
-        // access/decay machinery fails this test (this is what CI's seeded
-        // mutation smoke check relies on).
+        // access/decay machinery fails this test (the
+        // `seeded-accounting-bug` mutant relies on it).
         for cfg in [gated_cfg(512), drowsy_cfg(512)] {
             let mut c = Cache::new(CacheConfig::l1_64k_2way(), Some(cfg)).unwrap();
             let mut now = 0u64;

@@ -77,22 +77,7 @@ impl DecayConfig {
 
     /// Quarter of the decay interval — the global counter's period.
     pub fn quarter_interval(&self) -> u64 {
-        // A deliberately seeded knee mutation for CI's fidelity smoke
-        // check: giving the global counter the FULL interval as its wrap
-        // period makes every line decay after 4x the nominal idle time.
-        // Timing stays self-consistent (the conservation audit cannot see
-        // it), but every figure's numbers shift and the per-benchmark best
-        // intervals move by two powers of two — exactly what the
-        // prediction-vs-simulation oracle and the golden-data suite exist
-        // to catch. Never enable outside that check.
-        #[cfg(feature = "seeded-knee-bug")]
-        {
-            self.interval_cycles.max(1)
-        }
-        #[cfg(not(feature = "seeded-knee-bug"))]
-        {
-            (self.interval_cycles / 4).max(1)
-        }
+        (self.interval_cycles / 4).max(1)
     }
 }
 

@@ -18,8 +18,8 @@
 //!    (`total == num_lines × cycle`).
 //! 4. **No transition leaves the two-bit counter stale** — in particular,
 //!    [`crate::Cache::set_decay_interval`] must restart every line's idle
-//!    history (the historical stale-counter bug, reproducible here by
-//!    building with `--features pre-fix-stale-counter`).
+//!    history (the historical stale-counter bug, which the stale-counter
+//!    mutant in `mutants/` reverts the fix for).
 //! 5. **Behavior separation** — preserving standby never induces a miss;
 //!    losing standby never produces a slow hit.
 //! 6. **Schedule coherence** — after every transition the timing wheel's
@@ -467,18 +467,18 @@ fn check_invariants(cache: &Cache, obs: &Observation, decay: &DecayConfig) -> Op
 
     // (6) Schedule coherence: the wheel's pending events must match the
     // slab's derived deadlines from every reachable state (this is the
-    // check that catches the `wheel-bug` dropped-reschedule mutation).
+    // check that catches the `wheel-bug` dropped-reschedule mutant).
     if let Err(drift) = cache.schedule_coherence() {
         return Some(format!("decay schedule drift: {drift}"));
     }
 
     // (4b) Interval-change probe: from *any* reachable state, changing the
     // decay interval must restart every line's idle history. This is the
-    // PR 2 stale-counter bug; `--features pre-fix-stale-counter` reverts
-    // the fix and this probe finds it with a minimal trace. The probe
-    // quadruples the interval *currently in force* (which a switching
-    // exploration may have moved off `decay.interval_cycles`), so it is
-    // always a genuine change.
+    // historical stale-counter bug; the stale-counter mutant in
+    // `mutants/` reverts the fix and this probe finds it with a minimal
+    // trace. The probe quadruples the interval *currently in force*
+    // (which a switching exploration may have moved off
+    // `decay.interval_cycles`), so it is always a genuine change.
     let mut probe = cache.clone();
     probe.set_decay_interval(4 * current_interval(cache).max(1));
     for i in 0..n {
@@ -723,7 +723,6 @@ pub fn check_all_two_set() -> Result<Vec<Report>, Counterexample> {
 mod tests {
     use super::*;
 
-    #[cfg(not(feature = "pre-fix-stale-counter"))]
     #[test]
     fn exploration_is_finite_and_nontrivial() {
         let decay = studied_configs()[0];
@@ -736,7 +735,6 @@ mod tests {
         assert!(report.transitions >= report.states);
     }
 
-    #[cfg(not(feature = "pre-fix-stale-counter"))]
     #[test]
     fn all_studied_configurations_satisfy_the_invariants() {
         match check_all() {
@@ -750,7 +748,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "pre-fix-stale-counter"))]
     #[test]
     fn switching_explorations_satisfy_the_invariants() {
         match check_all_switching() {
@@ -764,7 +761,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "pre-fix-stale-counter"))]
     #[test]
     fn switching_reaches_strictly_more_states() {
         // The switch alphabet must genuinely enlarge the reachable space
@@ -782,7 +778,6 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "pre-fix-stale-counter"))]
     #[test]
     fn wrap_phase_restarts_on_switch_but_stats_accumulate() {
         // The canonical key must follow Cache::wrap_phase (the flush
@@ -810,7 +805,6 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "pre-fix-stale-counter"))]
     #[test]
     fn two_set_explorations_satisfy_the_invariants_under_the_state_ceiling() {
         match check_all_two_set() {
@@ -836,7 +830,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "pre-fix-stale-counter"))]
     #[test]
     fn two_set_switching_exploration_is_green() {
         // Interval switching across a 2-set geometry: the stalest
@@ -850,7 +843,6 @@ mod tests {
         assert!(report.states > 10, "degenerate exploration: {report:?}");
     }
 
-    #[cfg(not(feature = "pre-fix-stale-counter"))]
     #[test]
     fn two_set_canonical_key_quotients_tag_renaming() {
         // Two caches whose resident tags differ only by a renaming
@@ -873,52 +865,6 @@ mod tests {
         let mut c = Cache::new(cfg, Some(decay)).expect("checker geometry is valid");
         c.access(2 * 64, AccessKind::Write, 0);
         assert_ne!(canonical_key(&a), canonical_key(&c));
-    }
-
-    /// With the stale-counter fix reverted, the checker must rediscover the
-    /// historical bug — and because the interval-change probe runs on every
-    /// state, the minimal trace is just the shortest path to a non-zero
-    /// two-bit counter.
-    #[cfg(feature = "pre-fix-stale-counter")]
-    #[test]
-    fn checker_rediscovers_the_stale_counter_bug() {
-        let ce = check_all().expect_err("reverted fix must be caught");
-        assert!(
-            ce.violation.contains("stale"),
-            "wrong violation reported: {ce}"
-        );
-        assert!(
-            !ce.trace.is_empty() && ce.trace.len() <= 4,
-            "counterexample should be minimal, got {} events:\n{ce}",
-            ce.trace.len()
-        );
-        println!("{ce}");
-        // The switching exploration drives set_decay_interval as a plain
-        // alphabet event, so it must rediscover the same bug.
-        let ce = check_all_switching().expect_err("reverted fix must be caught while switching");
-        assert!(
-            ce.violation.contains("stale"),
-            "wrong violation reported: {ce}"
-        );
-    }
-
-    /// The 2-set geometry must rediscover the stale-counter bug too: the
-    /// interval-change probe runs per line, so a second set gives the bug
-    /// strictly more places to hide — none of which the relabeled
-    /// canonical key may prune away.
-    #[cfg(feature = "pre-fix-stale-counter")]
-    #[test]
-    fn two_set_checker_rediscovers_the_stale_counter_bug() {
-        let ce = check_all_two_set().expect_err("reverted fix must be caught at 2 sets");
-        assert!(
-            ce.violation.contains("stale"),
-            "wrong violation reported: {ce}"
-        );
-        assert!(
-            !ce.trace.is_empty() && ce.trace.len() <= 4,
-            "counterexample should be minimal, got {} events:\n{ce}",
-            ce.trace.len()
-        );
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //! [`ReferenceCache::set_decay_interval`] switches) and requires bitwise
 //! identical [`AccessResult`]s and [`CacheStats`].
 //!
-//! The seeded-mutation `cfg` blocks (`seeded-accounting-bug`,
-//! `pre-fix-stale-counter`) are retained verbatim so that building with
-//! those features mutates *both* models identically — equivalence holds
-//! under every mutation feature except `wheel-bug`, which only exists in
-//! the wheel build and is exactly what the differential suite must catch.
+//! The accounting and stale-counter mutants in `mutants/` patch *both*
+//! models identically, so equivalence holds under every mutant except
+//! `wheel-bug`, which only touches the wheel build and is exactly what the
+//! differential suite must catch.
 //!
 //! Do not optimize this file. Its value is being dumb.
 
@@ -201,9 +200,6 @@ impl ReferenceCache {
             let period = decay.quarter_interval();
             self.global = GlobalCounter::new(period);
             self.ticks_seen = 0;
-            // `pre-fix-stale-counter` (CI mutation smoke only) reverts this
-            // reset so the model checker can demonstrate the original bug.
-            #[cfg(not(feature = "pre-fix-stale-counter"))]
             for line in &mut self.lines {
                 line.local_counter = 0;
             }
@@ -398,12 +394,7 @@ impl ReferenceCache {
             self.stats.wakes += 1;
             self.stats.slow_hits += 1;
         } else {
-            // Mirrors the seeded mutation in the wheel cache so equivalence
-            // holds under the `seeded-accounting-bug` CI smoke build.
-            #[cfg(not(feature = "seeded-accounting-bug"))]
-            {
-                self.stats.hits += 1;
-            }
+            self.stats.hits += 1;
         }
         if probed_tag {
             self.stats.tag_probes += 1;

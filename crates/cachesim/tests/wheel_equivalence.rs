@@ -10,8 +10,8 @@
 //! so shares the wheel with what it checks), this suite compares two
 //! *independent* implementations; a scheduling bug in the wheel shows up
 //! here as a divergence even when both drivers agree with each other. The
-//! `wheel-bug` seeded mutation exists to prove exactly that: under
-//! `--features wheel-bug` the deterministic tests below must fail.
+//! `wheel-bug` mutant exists to prove exactly that: under
+//! `mutants/run.sh wheel-bug` the deterministic tests below must fail.
 
 use cachesim::{
     AccessKind, Cache, CacheConfig, CacheStats, DecayConfig, DecayPolicy, ReferenceCache,
@@ -211,11 +211,11 @@ fn wheel_matches_reference_across_an_adaptive_interval_ladder() {
     }
 }
 
-/// The seeded `wheel-bug` scenario: touch a line, idle past a wrap, touch
+/// The `wheel-bug` mutant's scenario: touch a line, idle past a wrap, touch
 /// it again. A correct hot path reschedules the decay deadline on the
 /// second touch; the mutation keeps the stale deadline, so the line decays
 /// a wrap early and the touched-line access below turns from a fast hit
-/// into a slow one. Under `--features wheel-bug` this test MUST fail.
+/// into a slow one. Under the `wheel-bug` mutant this test MUST fail.
 #[test]
 fn touched_line_keeps_its_fresh_decay_deadline() {
     // interval 256 -> wrap period 64. First touch at 0 schedules decay at
@@ -255,7 +255,7 @@ fn touched_line_keeps_its_fresh_decay_deadline() {
 /// of the differential oracle: immediately after the second touch the
 /// wheel's deadline must agree with the counter-derived one, and the
 /// schedule-coherence check in [`Cache::audit`] flags the stale entry
-/// while it is still pending. Under `--features wheel-bug` this test MUST
+/// while it is still pending. Under the `wheel-bug` mutant this test MUST
 /// fail (with a `DecayScheduleDrift` violation).
 #[cfg(feature = "audit")]
 #[test]

@@ -278,8 +278,6 @@ impl StudyCtx {
 /// A shard entry: a finished run, or a marker other threads wait on.
 /// The `Ready` run is boxed so a shard full of memos does not pay the
 /// 280-byte `RawRun` footprint per pending marker too.
-// With the seeded race the Pending variant is matched but never built.
-#[cfg_attr(feature = "coalesce-race-bug", allow(dead_code))]
 enum Slot {
     Ready(Box<RawRun>),
     Pending(Arc<InFlight>),
@@ -572,7 +570,6 @@ impl RunCache {
         let mut waited = false;
         loop {
             // lint: allow(unwrap): a poisoned lock means a worker panicked; propagate
-            #[cfg_attr(feature = "coalesce-race-bug", allow(unused_mut))]
             let mut shard = self.shard(&key).lock().expect("cache shard lock");
             match shard.get(&key) {
                 Some(Slot::Ready(r)) => {
@@ -596,10 +593,9 @@ impl RunCache {
                     let inflight = Arc::new(InFlight::default());
                     // Publishing the Pending slot before releasing the
                     // shard is what makes concurrent same-key requests
-                    // coalesce; the seeded race below omits it so every
-                    // contender computes (caught by the interleave
-                    // checker's coalescing model in CI).
-                    #[cfg(not(feature = "coalesce-race-bug"))]
+                    // coalesce; the `coalesce-race-bug` mutant omits it so
+                    // every contender computes (caught by the interleave
+                    // checker's coalescing model).
                     shard.insert(key, Slot::Pending(Arc::clone(&inflight)));
                     drop(shard);
                     let mut guard = PendingGuard {

@@ -9,9 +9,9 @@
 //! the exact read-back verification the disk tier runs: FNV-1a checksum
 //! plus byte-for-byte key equality ([`verify_remote_record`]). A
 //! poisoned or damaged peer record therefore becomes a miss, never a
-//! wrong answer. (The `fleet-poison-bug` feature seeds the obvious bug —
-//! trusting the peer blindly — for the CI negative smoke, mirroring
-//! runstore's `store-corruption-bug`.)
+//! wrong answer. (The `fleet-poison-bug` mutant in `mutants/` plants the
+//! obvious bug — trusting the peer blindly — mirroring runstore's
+//! `store-corruption-bug`.)
 //!
 //! Besides per-record recall, the crate implements anti-entropy segment
 //! shipping: [`FleetTier::sync_segments`] requests each peer's segment
@@ -59,30 +59,11 @@ pub const IO_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
 /// exactly one record. Returns the payload on success, `None` — a miss
 /// — on any damage or mismatch.
 pub fn verify_remote_record(bytes: &[u8], id: RecordId, key: &[u8]) -> Option<Vec<u8>> {
-    #[cfg(feature = "fleet-poison-bug")]
-    {
-        // Seeded bug for the CI negative smoke: trust the peer blindly
-        // and slice the payload out without verifying anything. The
-        // poisoned-peer tests must turn this into a failure.
-        let _ = (id, key);
-        if bytes.len() >= runstore::RECORD_HEADER_BYTES {
-            let key_len = u32::from_le_bytes(bytes[24..28].try_into().unwrap_or([0; 4])) as usize;
-            let start = runstore::RECORD_HEADER_BYTES + key_len;
-            if start <= bytes.len() {
-                return Some(bytes[start..].to_vec());
-            }
-        }
-        None
-    }
-    #[cfg(not(feature = "fleet-poison-bug"))]
-    {
-        let record = runstore::parse_record(bytes, 0).ok()?;
-        (record.id == id && record.key == key && record.len == bytes.len())
-            .then_some(record.payload)
-    }
+    let record = runstore::parse_record(bytes, 0).ok()?;
+    (record.id == id && record.key == key && record.len == bytes.len()).then_some(record.payload)
 }
 
-#[cfg(all(test, not(feature = "fleet-poison-bug")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use runstore::encode_record;

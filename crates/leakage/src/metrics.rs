@@ -32,21 +32,11 @@ const WELCH_EPS: f64 = 1e-9;
 ///
 /// The honest map is the identity clamped to `u16` — the simulator's
 /// latencies are exact cycle counts, so no binning is needed. The
-/// `seeded-leakage-blind-bug` CI mutation collapses the alphabet to a
-/// single symbol; every metric must then read zero and the harness
-/// self-test must fail.
-#[cfg(not(feature = "seeded-leakage-blind-bug"))]
+/// `seeded-leakage-blind-bug` mutant collapses the alphabet to a single
+/// symbol; every metric must then read zero and the harness self-test
+/// must fail.
 pub fn quantize(latency: Cycles) -> u16 {
     latency.get().min(u64::from(u16::MAX)) as u16
-}
-
-/// Quantizes one probe latency into the canonical observation alphabet.
-///
-/// Seeded-bug variant: aliases every latency into one class.
-#[cfg(feature = "seeded-leakage-blind-bug")]
-pub fn quantize(latency: Cycles) -> u16 {
-    let _ = latency;
-    0
 }
 
 /// Quantizes a whole latency vector.

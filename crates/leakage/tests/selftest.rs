@@ -2,8 +2,8 @@
 //! distinguishable from the baseline on the gap-conflict trace, and the
 //! baseline must be blind.
 //!
-//! CI runs this target twice: normally (must pass) and with
-//! `--features seeded-leakage-blind-bug` (must FAIL — the mutation
+//! This target runs twice: normally (must pass) and under
+//! `mutants/run.sh seeded-leakage-blind-bug` (must FAIL — the mutant
 //! collapses probe-latency quantization into a single symbol, so a
 //! harness that still "detects leakage" under it would be reporting
 //! noise).

@@ -40,11 +40,11 @@
 //!   touches the mutex stalls for the full duration. Condvar `.wait(` is
 //!   exempt — it releases the lock while blocked, which is the sanctioned
 //!   way to wait under a guard.
-//! * **`feature-smoke`** — every `*-bug` cargo feature in a workspace
-//!   manifest is a seeded mutation whose whole value is the CI negative
-//!   smoke that proves the suite still catches it. A feature name absent
-//!   from `.github/workflows/` is a smoke test that silently stopped
-//!   running (or never existed).
+//! * **`feature-smoke`** — a `*-bug` cargo feature in a workspace
+//!   manifest is a seeded mutation compiled into shipping code. Mutants
+//!   live as patches under `mutants/` (applied to a throwaway copy by
+//!   `mutants/run.sh`), so any such feature is a test-only bug branch
+//!   creeping back into production sources.
 //! * **`no-wallclock-in-leakage`** — the timing-leakage harness
 //!   (`crates/leakage`) reports attacker-visible *simulated* latencies;
 //!   every number it emits must be a pure function of the seed. Any
@@ -183,7 +183,7 @@ pub enum Rule {
     NoAllocInSweep,
     /// A sleep or blocking I/O call while a lock guard is live.
     NoSleepWhileLocked,
-    /// A seeded `*-bug` cargo feature with no CI negative-smoke step.
+    /// A seeded `*-bug` cargo feature in a workspace manifest.
     FeatureSmoke,
     /// A wall-clock construct inside the timing-leakage harness.
     NoWallclockInLeakage,
@@ -620,12 +620,11 @@ fn check_no_wallclock(rel: &Path, lines: &[&str], out: &mut Vec<Violation>) {
     }
 }
 
-/// Scans one manifest's `[features]` section: every `*-bug` feature is a
-/// seeded mutation, and its whole value is the CI negative-smoke step
-/// that proves the suite still catches it — so each name must appear
-/// somewhere in the workflow text. Suppressible with a
+/// Scans one manifest's `[features]` section and flags every `*-bug`
+/// feature: seeded mutations belong in `mutants/*.patch`, never behind a
+/// feature gate in shipping code. Suppressible with a
 /// `# lint: allow(feature-smoke): <reason>` comment above the feature.
-pub fn check_feature_smoke(rel: &Path, manifest: &str, workflow: &str) -> Vec<Violation> {
+pub fn check_feature_smoke(rel: &Path, manifest: &str) -> Vec<Violation> {
     let lines: Vec<&str> = manifest.lines().collect();
     let mut out = Vec::new();
     let mut in_features = false;
@@ -649,7 +648,7 @@ pub fn check_feature_smoke(rel: &Path, manifest: &str, workflow: &str) -> Vec<Vi
         {
             continue;
         }
-        if !workflow.contains(name) && !has_marker(&lines, i, Rule::FeatureSmoke) {
+        if !has_marker(&lines, i, Rule::FeatureSmoke) {
             out.push(Violation {
                 file: rel.to_path_buf(),
                 line: i + 1,
@@ -725,29 +724,12 @@ fn in_scope(rel: &Path) -> bool {
     src_tree && !p.contains("/tests/") && !p.contains("/benches/")
 }
 
-/// True if `rel` is a manifest whose `*-bug` features CI must smoke: the
+/// True if `rel` is a manifest that must declare no `*-bug` feature: the
 /// workspace root and the member crates. Shims are vendored stubs, and
 /// the lint crate names the forbidden patterns (and carries fixtures).
 fn manifest_in_scope(rel: &Path) -> bool {
     let p = rel.to_string_lossy().replace('\\', "/");
     p == "Cargo.toml" || (p.starts_with("crates/") && !p.starts_with("crates/lint/"))
-}
-
-/// Concatenated text of every workflow under `root/.github/workflows`;
-/// empty when the directory is absent (every `*-bug` feature then fires,
-/// which is the right default for a repo that lost its CI config).
-fn workflow_text(root: &Path) -> String {
-    let mut text = String::new();
-    if let Ok(entries) = fs::read_dir(root.join(".github").join("workflows")) {
-        let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-        paths.sort();
-        for p in paths {
-            if let Ok(s) = fs::read_to_string(&p) {
-                text.push_str(&s);
-            }
-        }
-    }
-    text
 }
 
 /// Scans a workspace (or fixture) root, applying each rule to the files in
@@ -760,14 +742,13 @@ pub fn scan_root(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut files = Vec::new();
     walk(root, &mut files)?;
     files.sort();
-    let workflow = workflow_text(root);
     let mut out = Vec::new();
     for path in files {
         let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
         if rel.file_name().is_some_and(|n| n == "Cargo.toml") {
             if manifest_in_scope(&rel) {
                 let content = fs::read_to_string(&path)?;
-                out.extend(check_feature_smoke(&rel, &content, &workflow));
+                out.extend(check_feature_smoke(&rel, &content));
             }
             continue;
         }
@@ -1115,24 +1096,24 @@ mod tests {
     }
 
     #[test]
-    fn orphan_bug_feature_fires_and_a_smoked_one_passes() {
+    fn every_bug_feature_fires() {
         let manifest = "[package]\nname = \"q\"\n\n[features]\norphan-race-bug = []\nwheel-bug = []\naudit = []\n";
-        let workflow = "run: cargo test --features wheel-bug\n";
-        let v = check_feature_smoke(&rel("crates/q/Cargo.toml"), manifest, workflow);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::FeatureSmoke);
-        assert_eq!(v[0].line, 5);
+        let v = check_feature_smoke(&rel("crates/q/Cargo.toml"), manifest);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|v| v.rule == Rule::FeatureSmoke), "{v:?}");
+        assert_eq!((v[0].line, v[1].line), (5, 6));
         assert!(v[0].excerpt.contains("orphan-race-bug"), "{v:?}");
+        assert!(v[1].excerpt.contains("wheel-bug"), "{v:?}");
     }
 
     #[test]
     fn feature_smoke_marker_and_non_bug_features_are_exempt() {
-        let marked = "[features]\n# lint: allow(feature-smoke): smoke lives in the nightly workflow\nlegacy-race-bug = []\n";
-        let v = check_feature_smoke(&rel("Cargo.toml"), marked, "");
+        let marked = "[features]\n# lint: allow(feature-smoke): downstream pin, removed next release\nlegacy-race-bug = []\n";
+        let v = check_feature_smoke(&rel("Cargo.toml"), marked);
         assert!(v.is_empty(), "{v:?}");
 
         let plain = "[features]\naudit = []\ndefault = [\"audit\"]\n\n[dependencies]\nserde-bug-compat = \"1\"\n";
-        let v = check_feature_smoke(&rel("Cargo.toml"), plain, "");
+        let v = check_feature_smoke(&rel("Cargo.toml"), plain);
         assert!(v.is_empty(), "{v:?}");
     }
 

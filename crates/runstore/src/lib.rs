@@ -27,8 +27,8 @@
 //!   and the full key bytes. Any mismatch is treated as a miss — the
 //!   entry is dropped from the index and the caller recomputes — so a
 //!   damaged record is *never* returned. (The `store-corruption-bug`
-//!   feature seeds the obvious bug — skipping verification — for the CI
-//!   negative smoke; the corruption tests must fail with it enabled.)
+//!   mutant in `mutants/` plants the obvious bug — skipping
+//!   verification; the corruption tests must fail under it.)
 //! * **Write-behind fills.** [`RunStore::append`] enqueues the record
 //!   and returns immediately; a dedicated flusher thread drains the
 //!   queue to disk and publishes the index entry once the record is
@@ -153,6 +153,9 @@ pub struct StoreCounters {
     pub verify_failures: u64,
     /// Records accepted for write-behind appending.
     pub appends: u64,
+    /// Appends the filesystem refused (segment creation, write, or
+    /// flush failed); each record was dropped and will be recomputed.
+    pub write_failures: u64,
     /// Torn or corrupt tail records skipped while scanning on open.
     pub torn_records: u64,
     /// Records currently addressable through the index.
@@ -260,6 +263,7 @@ struct Shared {
     misses: AtomicU64,
     verify_failures: AtomicU64,
     appends: AtomicU64,
+    write_failures: AtomicU64,
     torn_records: AtomicU64,
     segments: AtomicU64,
 }
@@ -332,6 +336,7 @@ impl RunStore {
             misses: AtomicU64::new(0),
             verify_failures: AtomicU64::new(0),
             appends: AtomicU64::new(0),
+            write_failures: AtomicU64::new(0),
             torn_records: AtomicU64::new(torn),
             segments: AtomicU64::new(segments),
         });
@@ -372,6 +377,7 @@ impl RunStore {
             misses: s.misses.load(Ordering::Relaxed),
             verify_failures: s.verify_failures.load(Ordering::Relaxed),
             appends: s.appends.load(Ordering::Relaxed),
+            write_failures: s.write_failures.load(Ordering::Relaxed),
             torn_records: s.torn_records.load(Ordering::Relaxed),
             records,
             segments: s.segments.load(Ordering::Relaxed),
@@ -894,6 +900,9 @@ fn flusher_loop(shared: &Shared) {
             segment_epoch = epoch;
         }
         let written = write_record(shared, &mut segment, &record);
+        if written.is_none() {
+            shared.write_failures.fetch_add(1, Ordering::Relaxed);
+        }
         let mut state = lock(&shared.state);
         state.writing = false;
         if let Some(loc) = written {
@@ -912,7 +921,8 @@ struct OpenSegment {
 
 /// Writes one record, rotating or creating the process-private segment
 /// as needed. Returns the record's location, or `None` if the filesystem
-/// refused (the store is a cache; a failed spill is not fatal).
+/// refused (the store is a cache; a failed spill is not fatal, only
+/// counted in [`StoreCounters::write_failures`]).
 fn write_record(
     shared: &Shared,
     segment: &mut Option<OpenSegment>,
@@ -1190,31 +1200,14 @@ fn scan_segment(path: &Path, index: &mut HashMap<RecordId, Loc>) -> io::Result<u
 /// disagreement — the caller treats every case as a miss.
 fn read_verified(loc: &Loc, id: RecordId, key: &[u8]) -> Result<Vec<u8>, &'static str> {
     let buf = read_record_bytes(loc)?;
-    #[cfg(feature = "store-corruption-bug")]
-    {
-        // Seeded bug for the CI negative smoke: trust the index blindly
-        // and slice the payload out without verifying anything. The
-        // corruption tests must turn this into a failure.
-        if buf.len() >= RECORD_HEADER_BYTES {
-            let key_len = u32::from_le_bytes(buf[24..28].try_into().unwrap_or([0; 4])) as usize;
-            let start = RECORD_HEADER_BYTES + key_len;
-            if start <= buf.len() {
-                return Ok(buf[start..].to_vec());
-            }
-        }
-        return Err("truncated record body");
+    let record = parse_record(&buf, 0)?;
+    if record.id != id {
+        return Err("record id mismatch");
     }
-    #[cfg(not(feature = "store-corruption-bug"))]
-    {
-        let record = parse_record(&buf, 0)?;
-        if record.id != id {
-            return Err("record id mismatch");
-        }
-        if record.key != key {
-            return Err("key bytes mismatch (hash collision or damage)");
-        }
-        Ok(record.payload)
+    if record.key != key {
+        return Err("key bytes mismatch (hash collision or damage)");
     }
+    Ok(record.payload)
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Byte-level durability tests for the run store: round-trips, restart
 //! reuse, torn-tail recovery, and flip-one-byte corruption detection.
 //!
-//! The corruption tests double as the CI negative smoke: with
-//! `--features store-corruption-bug` (recall skips read-back
+//! The corruption tests double as a negative check: under
+//! `mutants/run.sh store-corruption-bug` (recall skips read-back
 //! verification) they MUST fail, proving the verification path is load-
 //! bearing and the tests would catch its removal.
 
@@ -144,7 +144,7 @@ fn torn_tail_is_skipped_and_earlier_records_survive() {
 /// Flipping one payload byte must be caught by the read-back checksum:
 /// the recall reads as a miss (never the damaged bytes), the entry is
 /// invalidated, and a recompute-and-re-append serves the true payload
-/// again. This is the test the `store-corruption-bug` feature must fail.
+/// again. This is the test the `store-corruption-bug` mutant must fail.
 #[test]
 fn flipped_payload_byte_is_detected_and_recomputed() {
     let dir = scratch("flip-byte");
@@ -206,6 +206,25 @@ fn flipped_key_byte_is_detected() {
     assert_eq!(store.recall(id, &key), None);
     assert_eq!(store.counters().verify_failures, 1);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A write the filesystem refuses is dropped, never fatal — but it is
+/// counted, and the record simply stays a miss.
+#[test]
+fn refused_write_is_counted_and_reads_as_a_miss() {
+    let dir = scratch("refused-write");
+    let store = RunStore::open(&dir).expect("open");
+    // The flusher creates its segment lazily, so removing the directory
+    // after open makes the first segment creation fail.
+    fs::remove_dir_all(&dir).expect("remove store dir");
+    let key = b"never-persisted".to_vec();
+    let id = RecordId::of(&key, 19);
+    store.append(id, key.clone(), payload(4, 24));
+    store.flush();
+    let c = store.counters();
+    assert_eq!((c.appends, c.write_failures, c.records), (1, 1, 0));
+    assert_eq!(store.recall(id, &key), None);
+    assert_eq!(store.counters().misses, 1);
 }
 
 #[test]

@@ -181,10 +181,6 @@ pub(crate) struct Shared {
     /// The outbound fleet tier, when peers are configured; here for its
     /// counters in [`Shared::report`].
     pub(crate) fleet: Option<Arc<fleet::FleetTier>>,
-    /// Seeded lost-reply bug (CI negative smoke): set once the server
-    /// has dropped its first response.
-    #[cfg(feature = "dropped-response-bug")]
-    pub(crate) dropped_one: AtomicBool,
 }
 
 impl Shared {
@@ -258,8 +254,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             store,
             fleet: fleet_tier,
-            #[cfg(feature = "dropped-response-bug")]
-            dropped_one: AtomicBool::new(false),
         });
         let workers = cfg.workers.max(1);
         let pool = {
@@ -352,15 +346,6 @@ fn worker_loop(shared: &Shared) {
             Ok(_) => shared.stats.completed.fetch_add(1, Ordering::Relaxed),
             Err(_) => shared.stats.failed.fetch_add(1, Ordering::Relaxed),
         };
-        #[cfg(feature = "dropped-response-bug")]
-        {
-            // Seeded bug for the CI negative smoke: the first job each
-            // server serves "forgets" to deliver its response. The
-            // delivery test must turn this into a failure.
-            if !shared.dropped_one.swap(true, Ordering::SeqCst) {
-                continue;
-            }
-        }
         if !job.reply.deliver(outcome.map_err(|e| e.to_string())) {
             shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
         }

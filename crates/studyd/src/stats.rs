@@ -216,6 +216,8 @@ pub struct StoreReport {
     pub verify_failures: u64,
     /// Fresh runs queued for write-behind persistence.
     pub appends: u64,
+    /// Queued runs the filesystem refused to persist (dropped, not fatal).
+    pub write_failures: u64,
     /// Torn tail records skipped while scanning segments on open.
     pub torn_records: u64,
     /// Records currently addressable in the store index.
@@ -267,6 +269,7 @@ impl From<StoreCounters> for StoreReport {
             misses,
             verify_failures,
             appends,
+            write_failures,
             torn_records,
             records,
             segments,
@@ -276,6 +279,7 @@ impl From<StoreCounters> for StoreReport {
             misses,
             verify_failures,
             appends,
+            write_failures,
             torn_records,
             records,
             segments,
@@ -356,6 +360,7 @@ mod tests {
         assert_eq!((snap.hits, snap.appends, snap.verify_failures), (2, 1, 0));
         let text = serde_json::to_string(&report).expect("serializes");
         assert!(text.contains("\"verify_failures\":0"), "{text}");
+        assert!(text.contains("\"write_failures\":0"), "{text}");
     }
 
     #[test]

@@ -64,10 +64,9 @@ fn heavy_request() -> StudyRequest {
 
 #[test]
 fn every_response_is_delivered() {
-    // The CI negative smoke runs exactly this test with the seeded
-    // `dropped-response-bug` feature and requires it to FAIL: the
-    // server's first served job silently loses its response, which shows
-    // up here as a wait timeout.
+    // The `dropped-response-bug` mutant runs exactly this test and
+    // requires it to FAIL: the server's first served job silently loses
+    // its response, which shows up here as a wait timeout.
     let server = start_server(2, 8);
     let client = server.client();
     let pendings: Vec<_> = (0..3)

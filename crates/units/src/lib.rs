@@ -18,8 +18,8 @@
 //! else — adding joules to cycles, multiplying watts by watts — is a
 //! *compile error*, which is the point: the class of unit-mixing bugs that
 //! PR 2's runtime conservation audit can only catch statistically now fails
-//! `cargo build`. The `unit-bug` feature gates a deliberate violation that
-//! CI builds to prove the wall holds.
+//! `cargo build`. The `unit-bug` mutant plants a deliberate violation
+//! that must fail to build, proving the wall holds.
 //!
 //! All wrappers are `Copy`, `#[repr(transparent)]`, and fully inlined:
 //! the generated code is identical to raw `u64`/`f64` arithmetic.
@@ -667,15 +667,6 @@ impl CycleHistogram {
     pub fn saturated(&self) -> u64 {
         self.saturated
     }
-}
-
-/// Deliberate dimensional violation, compiled only under the `unit-bug`
-/// feature. CI runs `cargo build -p units --features unit-bug` and asserts
-/// that the build FAILS — proving that adding [`Joules`] to [`Cycles`]
-/// is rejected by the type system, not merely by convention.
-#[cfg(feature = "unit-bug")]
-pub fn seeded_unit_bug() -> Joules {
-    Joules::new(1.0e-9) + Cycles::new(1)
 }
 
 #[cfg(test)]

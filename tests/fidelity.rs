@@ -17,9 +17,8 @@
 //! UPDATE_GOLDENS=1 cargo test --test fidelity -- --ignored   # full tier
 //! ```
 //!
-//! Under `--features seeded-knee-bug` (the CI mutation smoke) both guards
-//! must FAIL — that build plants a decay-machinery bug the harness exists
-//! to catch.
+//! Under `mutants/run.sh seeded-knee-bug` both guards must FAIL — that
+//! mutant plants a decay-machinery bug the harness exists to catch.
 
 use std::fs;
 use std::path::PathBuf;

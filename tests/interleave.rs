@@ -12,10 +12,9 @@
 //! delegate straight to std, so every other test in this suite behaves
 //! identically.
 //!
-//! With `--features coalesce-race-bug` (CI negative smoke) the Pending
-//! slot is never published and `coalescing_never_double_computes` must
-//! FAIL, printing the minimal replayable schedule trace that exhibits the
-//! double-compute.
+//! Under `mutants/run.sh coalesce-race-bug` the Pending slot is never
+//! published and `coalescing_never_double_computes` must FAIL, printing
+//! the minimal replayable schedule trace that exhibits the double-compute.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -62,7 +61,7 @@ fn expect_coverage(name: &str, report: &interleave::Report, floor: usize) {
 /// Three concurrent requests for the same key: exactly one executes the
 /// run, the others are served the same result (a hit if they probed
 /// after the fill, coalesced if they waited on the in-flight marker).
-/// This is the model the seeded `coalesce-race-bug` must break in CI.
+/// This is the model the `coalesce-race-bug` mutant must break.
 #[test]
 fn coalescing_never_double_computes() {
     let report = Checker::new("runcache-coalesce").check(|| {
