@@ -71,8 +71,14 @@ pub struct Core {
     ruu: VecDeque<u64>,
     /// Commit times of in-flight memory ops.
     lsq: VecDeque<u64>,
-    /// Earliest cycle the fetch unit may fetch the next instruction
-    /// (pushed forward by I-cache misses and mispredict redirects).
+    /// Earliest cycle the fetch unit may fetch the next instruction: the
+    /// cycle of the last fetch, pushed forward by I-cache misses and
+    /// mispredict redirects. Invariant: it never decreases, and every
+    /// `fetch_slots` cycle below it was full when the last fetch was
+    /// booked or lies behind a stall the next fetch must wait out.
+    /// Only fetch books `fetch_slots`, so full cycles stay full, and
+    /// booking from here returns the cycle a booking from any older
+    /// floor would, without rescanning the full cycles.
     fetch_ready: u64,
     /// Line address of the last fetched instruction (for I-cache access
     /// batching: one access per line).
@@ -109,6 +115,22 @@ impl Core {
     /// The accumulated statistics.
     pub fn stats(&self) -> &CoreStats {
         &self.stats
+    }
+
+    /// Full cycles skipped so far by the fetch, dispatch, issue and
+    /// commit calendars (see [`SlotCalendar::probe_steps`]). A work
+    /// counter, kept out of [`CoreStats`] so it never enters a
+    /// recorded run.
+    pub fn calendar_probe_steps(&self) -> u64 {
+        [
+            &self.fetch_slots,
+            &self.dispatch_slots,
+            &self.issue_slots,
+            &self.commit_slots,
+        ]
+        .iter()
+        .map(|c| c.probe_steps())
+        .sum()
     }
 
     /// The memory hierarchy (for cache statistics and decay state).
@@ -166,6 +188,7 @@ impl Core {
 
         // ---- Fetch ----
         let mut fetch_at = self.fetch_slots.book(self.fetch_ready);
+        self.fetch_ready = fetch_at;
         let line = op.pc & line_mask;
         if line != self.last_fetch_line {
             let (lat, l2a, mema) = self.hierarchy.inst_fetch(line, fetch_at);
@@ -175,7 +198,7 @@ impl Core {
             if lat > 1 {
                 // Miss: the whole front-end stalls until the line arrives.
                 fetch_at += (lat - 1) as u64;
-                self.fetch_ready = self.fetch_ready.max(fetch_at);
+                self.fetch_ready = fetch_at;
             }
             self.last_fetch_line = line;
         }

@@ -21,6 +21,9 @@ pub struct SlotCalendar {
     /// used[i] = slots consumed in cycle `base + i` (ring indexed by cycle).
     used: Vec<u8>,
     base: u64,
+    /// Full cycles [`SlotCalendar::book`] has stepped over (a
+    /// deterministic work counter).
+    probe_steps: u64,
 }
 
 /// Ring capacity: cycles older than this are folded away. 8 K cycles is far
@@ -39,6 +42,7 @@ impl SlotCalendar {
             width,
             used: vec![0; RING],
             base: 0,
+            probe_steps: 0,
         }
     }
 
@@ -69,8 +73,15 @@ impl SlotCalendar {
                 self.used[idx] += 1;
                 return cycle;
             }
+            self.probe_steps += 1;
             cycle += 1;
         }
+    }
+
+    /// Full cycles skipped by all bookings so far: the linear scan's work
+    /// beyond one probe per booking.
+    pub fn probe_steps(&self) -> u64 {
+        self.probe_steps
     }
 }
 
@@ -162,6 +173,7 @@ mod tests {
         assert_eq!(cal.book(10), 10);
         assert_eq!(cal.book(10), 10);
         assert_eq!(cal.book(10), 11, "third booking in a 2-wide cycle spills");
+        assert_eq!(cal.probe_steps(), 1, "the spill skips one full cycle");
     }
 
     #[test]

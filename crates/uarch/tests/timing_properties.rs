@@ -83,6 +83,33 @@ proptest! {
         prop_assert_eq!(max_cycle, 100 + ((n as u64 - 1) / width as u64));
     }
 
+    /// The fact the core's fetch floor relies on: a calendar booked only
+    /// by one client returns the same cycle whether each booking starts
+    /// from its raw hint or from `max(hint, previous result)`, because
+    /// every cycle in between is full. Jumps past the 8192-cycle ring
+    /// make the ring slide.
+    #[test]
+    fn booking_from_the_previous_result_matches_raw_hints(
+        width in 1u8..9,
+        steps in proptest::collection::vec((0u8..4, 0u64..6, 0u64..3 * 8192), 1..400),
+    ) {
+        let mut raw = SlotCalendar::new(width);
+        let mut floored = SlotCalendar::new(width);
+        let (mut hint, mut last) = (0u64, 0u64);
+        for (kind, small, jump) in steps {
+            hint += match kind {
+                0 => 0,
+                3 => jump,
+                _ => small,
+            };
+            let want = raw.book(hint);
+            let got = floored.book(hint.max(last));
+            prop_assert_eq!(got, want, "hint {} floor {}", hint, last);
+            last = got;
+        }
+        prop_assert!(floored.probe_steps() <= raw.probe_steps());
+    }
+
     #[test]
     fn unit_pool_serialises_busy_time(occupies in proptest::collection::vec(1u64..30, 1..40)) {
         let mut pool = UnitPool::new(1);
