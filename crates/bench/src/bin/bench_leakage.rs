@@ -16,7 +16,7 @@
 use leakage::{HarnessSpec, PolicyKind, Scenario, SweepReport, TABLE3_INTERVALS};
 use serde::Serialize;
 use simcore::figures::{leakage_energy_scatter, LeakageEnergyFigure};
-use simcore::{Study, StudyConfig, SWEEP_INTERVALS};
+use simcore::{Study, StudyConfig};
 use specgen::Benchmark;
 
 #[derive(Serialize)]
@@ -61,12 +61,6 @@ fn main() {
             }
             other => die(&format!("unknown argument {other}")),
         }
-    }
-
-    // The harness duplicates the Table-3 ladder (it sits below simcore
-    // in the dependency order); refuse to emit a report if they drift.
-    if TABLE3_INTERVALS != SWEEP_INTERVALS {
-        die("leakage::TABLE3_INTERVALS diverged from simcore::SWEEP_INTERVALS");
     }
 
     let spec = HarnessSpec {

@@ -4,7 +4,8 @@
 //! same finalized [`CacheStats`] (including the `ModeCycles` integrals),
 //! same resolved line views, probes, and standby census — across random
 //! traces, both standby behaviors, both decay policies, tag decay on/off,
-//! and adaptive interval switches mid-run.
+//! and adaptive interval switches mid-run. A Table-2 2 MB L2 replay also
+//! checks that the wheel actually beats the reference it replaces.
 //!
 //! Unlike the `oracle` suite (which drives one implementation two ways and
 //! so shares the wheel with what it checks), this suite compares two
@@ -18,6 +19,7 @@ use cachesim::{
     StandbyBehavior,
 };
 use proptest::prelude::*;
+use std::time::{Duration, Instant};
 
 /// One step of a generated trace.
 #[derive(Debug, Clone, Copy)]
@@ -209,6 +211,88 @@ fn wheel_matches_reference_across_an_adaptive_interval_ladder() {
             assert!(naive.sleeps > 0, "ladder must actually exercise decay");
         }
     }
+}
+
+/// Replays a deterministic miss-heavy stream of `accesses` lookups over
+/// the 2 MB L2's 32,768 lines: a strided walk with ~1/4 revisits of a
+/// recent line, and gaps long enough for idle sets to reach their decay
+/// deadlines between visits.
+fn replay_l2<C>(
+    cache: &mut C,
+    accesses: u64,
+    access: impl Fn(&mut C, u64, AccessKind, u64),
+    finalize: impl Fn(&mut C, u64),
+) {
+    let mut now = 0u64;
+    let mut lcg = 0x243f_6a88_85a3_08d3u64;
+    for k in 0..accesses {
+        lcg = lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let line = if lcg & 3 == 0 {
+            (k / 7) % 32_768
+        } else {
+            (k * 97) % 32_768
+        };
+        now += 11 + (lcg >> 32) % 190;
+        let kind = if lcg & 7 == 0 {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        access(cache, line * 64, kind, now);
+    }
+    finalize(cache, now);
+}
+
+/// The Table-2 2 MB L2 under gated-V_ss decay at 8 K cycles, the line
+/// count where the reference's per-wrap full sweeps hurt most. Both
+/// implementations must agree bitwise, decay must fire, and the wheel
+/// must beat the reference: an in-run ratio (best of two repeats each),
+/// never an absolute time, so it holds on any host.
+#[test]
+fn wheel_beats_reference_on_the_2mb_l2_decay_replay() {
+    const ACCESSES: u64 = 50_000;
+    const REPEATS: usize = 2;
+    let l2 = CacheConfig::l2_2m_2way(11);
+    let decay = decay_cfg(true, false, true, 8192);
+    let mut wheel_best = Duration::MAX;
+    let mut wheel_stats = None;
+    for _ in 0..REPEATS {
+        let mut cache = Cache::new(l2, Some(decay)).expect("valid");
+        let start = Instant::now();
+        replay_l2(
+            &mut cache,
+            ACCESSES,
+            |c, addr, kind, now| {
+                c.access(addr, kind, now);
+            },
+            |c, now| c.finalize(now),
+        );
+        wheel_best = wheel_best.min(start.elapsed());
+        wheel_stats = Some(*cache.stats());
+    }
+    let wheel_stats = wheel_stats.expect("at least one repeat");
+    let mut reference_best = Duration::MAX;
+    for _ in 0..REPEATS {
+        let mut cache = ReferenceCache::new(l2, Some(decay)).expect("valid");
+        let start = Instant::now();
+        replay_l2(
+            &mut cache,
+            ACCESSES,
+            |c, addr, kind, now| {
+                c.access(addr, kind, now);
+            },
+            |c, now| c.finalize(now),
+        );
+        reference_best = reference_best.min(start.elapsed());
+        assert_eq!(*cache.stats(), wheel_stats, "stats diverged on the 2 MB L2");
+    }
+    assert!(wheel_stats.sleeps > 0, "decay never fired: {wheel_stats:?}");
+    assert!(
+        wheel_best < reference_best,
+        "wheel {wheel_best:?} must beat reference {reference_best:?}"
+    );
 }
 
 /// The `wheel-bug` mutant's scenario: touch a line, idle past a wrap, touch

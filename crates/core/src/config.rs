@@ -121,4 +121,11 @@ mod tests {
             assert_eq!(w[1], w[0] * 2);
         }
     }
+
+    /// The leakage harness duplicates the Table-3 ladder (it sits below
+    /// simcore in the dependency order); the two copies must not drift.
+    #[test]
+    fn leakage_harness_ladder_matches_sweep_intervals() {
+        assert_eq!(leakage::TABLE3_INTERVALS, SWEEP_INTERVALS);
+    }
 }

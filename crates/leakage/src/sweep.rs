@@ -22,7 +22,7 @@ use crate::trace::{victim_trace, TraceKind, ASSOC, HIT_LATENCY_CYCLES, LINE_BYTE
 /// The paper's Table-3 decay-interval ladder, mirrored from
 /// `simcore::config::SWEEP_INTERVALS` (this crate sits below simcore in
 /// the dependency order, so the constant is duplicated and pinned by a
-/// test in the bench bin's smoke checks).
+/// simcore unit test, `leakage_harness_ladder_matches_sweep_intervals`).
 pub const TABLE3_INTERVALS: [u64; 7] = [1024, 2048, 4096, 8192, 16384, 32768, 65536];
 
 /// Label-permutation rounds behind every reported p-value.

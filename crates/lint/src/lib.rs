@@ -1088,7 +1088,7 @@ mod tests {
 
         // Outside the harness, wall-clock use is governed by other rules.
         let elsewhere = "use std::time::Instant;\n";
-        let v = scan_content(&rel("crates/bench/src/bin/bench_wheel.rs"), elsewhere);
+        let v = scan_content(&rel("crates/bench/src/bin/bench_leakage.rs"), elsewhere);
         assert!(
             v.iter().all(|v| v.rule != Rule::NoWallclockInLeakage),
             "{v:?}"
