@@ -57,7 +57,8 @@ fn main() {
                 insts = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--insts needs a number"));
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| die("--insts needs a positive number"));
             }
             "--json" => {
                 json_path = Some(

@@ -35,6 +35,25 @@ fn misspelled_flag_fails_before_any_simulation() {
 }
 
 #[test]
+fn zero_insts_fails_before_any_simulation() {
+    // Zero instructions would print every figure as 0.00 and exit 0.
+    for args in [
+        &["--insts", "0", "table1"][..],
+        &["--insts", "0", "--json", "never-written.json", "fig3"],
+        &["--insts", "-5", "fig3"],
+    ] {
+        let out = figures(args);
+        assert!(!out.status.success(), "{args:?} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--insts needs a positive number"),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed before the error");
+    }
+}
+
+#[test]
 fn known_selector_still_runs() {
     // Table 1 is static text: no simulation, so this stays instant.
     let out = figures(&["table1"]);

@@ -119,6 +119,19 @@ impl TraceSource for ReplayTrace {
         }
         self.tail.as_mut().and_then(|g| g.next_op())
     }
+
+    /// Lends the rest of the buffered prefix, up to `max` ops; past it,
+    /// one live op at a time.
+    #[inline]
+    fn next_ops<'a>(&'a mut self, max: u64, spare: &'a mut MicroOp) -> &'a [MicroOp] {
+        let start = self.cursor;
+        let len = (self.ops.len() - start).min(usize::try_from(max).unwrap_or(usize::MAX));
+        if len == 0 {
+            return uarch::trace::next_op_into(self, max, spare);
+        }
+        self.cursor += len;
+        &self.ops[start..start + len]
+    }
 }
 
 #[cfg(test)]

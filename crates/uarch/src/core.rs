@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::bpred::{BranchPredictor, PredictorConfig};
 use crate::insn::{MicroOp, OpClass, NUM_REGS};
-use crate::resources::{FuComplement, SlotCalendar};
+use crate::resources::{FuComplement, InOrderSlots, SlotCalendar, UnitPool};
 use crate::stats::CoreStats;
 use crate::trace::TraceSource;
 
@@ -30,7 +30,7 @@ pub struct CoreConfig {
     /// Maximum concurrently outstanding L1D misses (miss-status holding
     /// registers). Limits how many induced/true misses the out-of-order
     /// window can overlap — the structural bound on §5.1's latency-hiding
-    /// argument.
+    /// argument. At most [`crate::resources::MAX_UNITS`].
     pub mshrs: usize,
 }
 
@@ -56,13 +56,17 @@ pub struct Core {
     cfg: CoreConfig,
     bpred: BranchPredictor,
     fu: FuComplement,
-    fetch_slots: SlotCalendar,
+    /// Fetch and commit requests never go backwards, so an in-order
+    /// counter books them. Dispatch requests do (after an LSQ-full stall
+    /// delays a memory op, the next op can ask for an older cycle), and
+    /// issue follows operand readiness, so those two keep the ring.
+    fetch_slots: InOrderSlots,
     dispatch_slots: SlotCalendar,
     issue_slots: SlotCalendar,
-    commit_slots: SlotCalendar,
+    commit_slots: InOrderSlots,
     /// Miss-status holding registers: each outstanding L1D miss occupies
     /// one for the duration of its fill.
-    mshrs: crate::resources::UnitPool,
+    mshrs: UnitPool,
     hierarchy: Hierarchy,
     /// Completion time of the youngest writer of each architectural
     /// register.
@@ -73,12 +77,8 @@ pub struct Core {
     lsq: VecDeque<u64>,
     /// Earliest cycle the fetch unit may fetch the next instruction: the
     /// cycle of the last fetch, pushed forward by I-cache misses and
-    /// mispredict redirects. Invariant: it never decreases, and every
-    /// `fetch_slots` cycle below it was full when the last fetch was
-    /// booked or lies behind a stall the next fetch must wait out.
-    /// Only fetch books `fetch_slots`, so full cycles stay full, and
-    /// booking from here returns the cycle a booking from any older
-    /// floor would, without rescanning the full cycles.
+    /// mispredict redirects. It never decreases, which is what lets
+    /// `fetch_slots` be an in-order counter.
     fetch_ready: u64,
     /// Line address of the last fetched instruction (for I-cache access
     /// batching: one access per line).
@@ -96,11 +96,11 @@ impl Core {
             cfg,
             bpred: BranchPredictor::new(cfg.predictor),
             fu: FuComplement::table2(),
-            fetch_slots: SlotCalendar::new(cfg.width),
+            fetch_slots: InOrderSlots::new(cfg.width),
             dispatch_slots: SlotCalendar::new(cfg.width),
             issue_slots: SlotCalendar::new(cfg.width),
-            commit_slots: SlotCalendar::new(cfg.width),
-            mshrs: crate::resources::UnitPool::new(cfg.mshrs.max(1)),
+            commit_slots: InOrderSlots::new(cfg.width),
+            mshrs: UnitPool::new(cfg.mshrs.max(1)),
             hierarchy,
             reg_ready: [0; NUM_REGS],
             ruu: VecDeque::with_capacity(cfg.ruu_size),
@@ -122,15 +122,19 @@ impl Core {
     /// counter, kept out of [`CoreStats`] so it never enters a
     /// recorded run.
     pub fn calendar_probe_steps(&self) -> u64 {
-        [
-            &self.fetch_slots,
-            &self.dispatch_slots,
-            &self.issue_slots,
-            &self.commit_slots,
-        ]
-        .iter()
-        .map(|c| c.probe_steps())
-        .sum()
+        self.fetch_slots.probe_steps()
+            + self.dispatch_slots.probe_steps()
+            + self.issue_slots.probe_steps()
+            + self.commit_slots.probe_steps()
+    }
+
+    /// Dispatch and issue bookings whose request fell before the
+    /// calendar's 8192-cycle window and was moved up to its start (see
+    /// [`SlotCalendar::window_clamps`]). Each may have changed timing,
+    /// so the oracle requires zero. A work counter, kept out of
+    /// [`CoreStats`].
+    pub fn calendar_window_clamps(&self) -> u64 {
+        self.dispatch_slots.window_clamps() + self.issue_slots.window_clamps()
     }
 
     /// The memory hierarchy (for cache statistics and decay state).
@@ -158,9 +162,17 @@ impl Core {
     /// Runs up to `max_insts` instructions from `trace`; returns the
     /// statistics. The run ends early if the trace ends.
     pub fn run<T: TraceSource>(&mut self, trace: &mut T, max_insts: u64) -> CoreStats {
-        for _ in 0..max_insts {
-            let Some(op) = trace.next_op() else { break };
-            self.step(&op);
+        let mut left = max_insts;
+        let mut spare = MicroOp::alu(0, 0, None, None);
+        while left > 0 {
+            let ops = trace.next_ops(left, &mut spare);
+            if ops.is_empty() {
+                break;
+            }
+            for op in ops {
+                self.step(op);
+            }
+            left -= ops.len() as u64;
         }
         // Close out: bring decay/leakage integrals up to the final cycle.
         // finalize also drains decay writebacks still pending after the

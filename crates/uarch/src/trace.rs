@@ -9,6 +9,36 @@ use crate::insn::MicroOp;
 pub trait TraceSource {
     /// Produces the next instruction, or `None` at end of trace.
     fn next_op(&mut self) -> Option<MicroOp>;
+
+    /// Produces the next run of at most `max` instructions (at least one
+    /// unless the trace has ended or `max` is 0), advancing past them.
+    ///
+    /// A source backed by a buffer lends a slice of it. The default
+    /// produces one op through [`TraceSource::next_op`], parked in
+    /// `spare`.
+    fn next_ops<'a>(&'a mut self, max: u64, spare: &'a mut MicroOp) -> &'a [MicroOp] {
+        next_op_into(self, max, spare)
+    }
+}
+
+/// The default [`TraceSource::next_ops`]: one op from `next_op`, parked
+/// in `spare`, or none at the end of the trace or when `max` is 0.
+/// Buffered sources fall back to it past their buffer.
+pub fn next_op_into<'a, T: TraceSource + ?Sized>(
+    trace: &mut T,
+    max: u64,
+    spare: &'a mut MicroOp,
+) -> &'a [MicroOp] {
+    if max == 0 {
+        return &[];
+    }
+    match trace.next_op() {
+        Some(op) => {
+            *spare = op;
+            std::slice::from_ref(spare)
+        }
+        None => &[],
+    }
 }
 
 /// A trace backed by a vector, for tests and microbenchmarks.
@@ -63,6 +93,10 @@ impl TraceSource for VecTrace {
 impl<T: TraceSource + ?Sized> TraceSource for &mut T {
     fn next_op(&mut self) -> Option<MicroOp> {
         (**self).next_op()
+    }
+
+    fn next_ops<'a>(&'a mut self, max: u64, spare: &'a mut MicroOp) -> &'a [MicroOp] {
+        (**self).next_ops(max, spare)
     }
 }
 

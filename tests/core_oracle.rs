@@ -109,35 +109,62 @@ fn raw_runs_match_golden() {
 }
 
 /// The four slot calendars' skipped full cycles must stay linear in the
-/// instruction count. With a stale fetch floor (`mutants/fetch-scan-bug`)
-/// gzip's baseline run steps over 197,323,622 full cycles, ~1,315 per
-/// instruction; every other benchmark exceeds the bound too.
+/// instruction count, and no dispatch or issue booking may fall before
+/// its calendar's 8192-cycle window: a clamped booking would change
+/// timing no golden recorded. Runs every benchmark under every golden
+/// technique; gzip's baseline count is pinned exactly.
 #[test]
 fn calendar_probe_steps_stay_linear() {
     let cfg = StudyConfig::default();
-    let counts: Vec<(Benchmark, u64, u64)> = Benchmark::ALL
+    let techniques = [
+        Technique::none(),
+        Technique::drowsy(DEFAULT_DROWSY_INTERVAL),
+        Technique::gated_vss(DEFAULT_GATED_INTERVAL),
+    ];
+    let counts: Vec<(Benchmark, &Technique, u64, u64, u64)> = Benchmark::ALL
         .iter()
-        .map(|&benchmark| {
-            let mut core = table2_core(L2_LATENCY, None).expect("valid hierarchy");
-            let mut trace = specgen::replay_trace(benchmark, cfg.seed, cfg.insts);
-            let stats = core.run(&mut trace, cfg.insts);
-            (benchmark, core.calendar_probe_steps(), stats.committed)
+        .flat_map(|&benchmark| {
+            techniques.iter().map(move |technique| {
+                let mut core =
+                    table2_core(L2_LATENCY, technique.decay_config()).expect("valid hierarchy");
+                let mut trace = specgen::replay_trace(benchmark, cfg.seed, cfg.insts);
+                let stats = core.run(&mut trace, cfg.insts);
+                (
+                    benchmark,
+                    technique,
+                    core.calendar_probe_steps(),
+                    core.calendar_window_clamps(),
+                    stats.committed,
+                )
+            })
         })
         .collect();
     let table: String = counts
         .iter()
-        .map(|(b, steps, insts)| format!("\n  {}: {steps} probe steps / {insts} insts", b.name()))
+        .map(|(b, t, steps, clamps, insts)| {
+            format!(
+                "\n  {} {}: {steps} probe steps, {clamps} window clamps / {insts} insts",
+                b.name(),
+                t.kind.name()
+            )
+        })
         .collect();
     let gzip = counts
         .iter()
-        .find(|c| c.0 == Benchmark::Gzip)
-        .expect("gzip ran");
+        .find(|c| c.0 == Benchmark::Gzip && c.1.decay_config().is_none())
+        .expect("gzip baseline ran");
     assert_eq!(
-        gzip.1, GZIP_PROBE_STEPS,
+        gzip.2, GZIP_PROBE_STEPS,
         "gzip baseline calendar work drifted{table}"
     );
     assert!(
-        counts.iter().all(|&(_, steps, insts)| steps <= 2 * insts),
+        counts
+            .iter()
+            .all(|&(.., steps, _, insts)| steps <= 2 * insts),
         "more than 2 calendar probe steps per instruction{table}"
+    );
+    assert!(
+        counts.iter().all(|&(.., clamps, _)| clamps == 0),
+        "a dispatch or issue request fell before its calendar window{table}"
     );
 }

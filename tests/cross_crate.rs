@@ -199,3 +199,30 @@ fn trace_generators_feed_core_without_region_aliasing() {
     }
     assert!(seen.len() > 100, "twolf must touch a real footprint");
 }
+
+#[test]
+fn replayed_slices_match_live_generation() {
+    // `Core::run` walks a replayed stream as slices of the arena buffer
+    // and a live generator one op at a time. Segmented runs (the adaptive
+    // controllers' windows) that cross from the buffered prefix into the
+    // replay's live tail must match a live generator run for run.
+    let segments = [1, 4_999, 7_000, 13, 9_987, 12_000];
+    for (b, decay) in [(Benchmark::Gcc, None), (Benchmark::Mcf, Some(gated(1024)))] {
+        let mut live_core = table2_core(11, decay).expect("valid");
+        let mut live = SpecTrace::new(b, 41);
+        let mut replay_core = table2_core(11, decay).expect("valid");
+        // Buffer 20 k ops: the last two segments read past the buffer.
+        let mut replay = specgen::replay_trace(b, 41, 20_000);
+        for &n in &segments {
+            let want = live_core.run(&mut live, n);
+            let got = replay_core.run(&mut &mut replay, n);
+            assert_eq!(got, want, "{b}: segment of {n}");
+        }
+        assert_eq!(
+            replay_core.hierarchy().l1d().stats(),
+            live_core.hierarchy().l1d().stats(),
+            "{b}: L1D statistics"
+        );
+        assert_eq!(replay.next_op(), live.next_op(), "{b}: stream position");
+    }
+}
