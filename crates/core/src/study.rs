@@ -886,9 +886,13 @@ impl Study {
     /// Executes every spec into the cache, fanning out across workers via
     /// [`crate::parallel::map_ordered`] (the workspace's single
     /// thread-spawning primitive); the results are discarded here and
-    /// recalled from the cache by the pricing pass.
+    /// recalled from the cache by the pricing pass. Specs run in
+    /// [`stream_interleaved`] order (a study has one seed, so a stream is
+    /// a benchmark): the workers' first runs need distinct streams, so
+    /// cold streams generate side by side instead of queuing on one.
     fn run_batch(&self, threads: usize, specs: &[RunSpec]) -> Result<(), StudyError> {
-        crate::parallel::map_ordered(threads, specs, |spec| {
+        let order = stream_interleaved(specs, |spec| spec.benchmark);
+        crate::parallel::map_ordered(threads, &order, |spec| {
             self.cache
                 .get_or_run(spec.key, || {
                     self.ctx
@@ -971,6 +975,34 @@ impl Study {
         let sweep = self.interval_sweep(benchmark, kind, l2_latency, temperature_c, intervals)?;
         best_of(sweep)
     }
+}
+
+/// Reorders `items` round-robin over their streams: the first item of
+/// every stream (streams in order of first appearance), then the second
+/// of every stream, and so on. Items of one stream keep their relative
+/// order, and every item appears exactly once.
+pub(crate) fn stream_interleaved<T, K: PartialEq>(
+    items: &[T],
+    stream: impl Fn(&T) -> K,
+) -> Vec<&T> {
+    let mut streams: Vec<(K, Vec<&T>)> = Vec::new();
+    for item in items {
+        let key = stream(item);
+        match streams.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, members)) => members.push(item),
+            None => streams.push((key, vec![item])),
+        }
+    }
+    let rounds = streams.iter().map(|(_, m)| m.len()).max().unwrap_or(0);
+    let mut order = Vec::with_capacity(items.len());
+    for round in 0..rounds {
+        for (_, members) in &streams {
+            if let Some(&item) = members.get(round) {
+                order.push(item);
+            }
+        }
+    }
+    order
 }
 
 /// Selects the max-net-savings result (ties broken toward the longer
@@ -1223,6 +1255,60 @@ mod tests {
             })
             .collect();
         assert_eq!(batch, one_by_one);
+    }
+
+    #[test]
+    fn stream_order_puts_every_first_run_ahead() {
+        // Figure 3's batch lists runs benchmark by benchmark.
+        let specs: Vec<(Benchmark, TechniqueKind)> = Benchmark::ALL
+            .iter()
+            .flat_map(|&b| {
+                [
+                    TechniqueKind::None,
+                    TechniqueKind::Drowsy,
+                    TechniqueKind::GatedVss,
+                ]
+                .map(|k| (b, k))
+            })
+            .collect();
+        let order = stream_interleaved(&specs, |&(b, _)| b);
+        let expected: Vec<(Benchmark, TechniqueKind)> = [
+            TechniqueKind::None,
+            TechniqueKind::Drowsy,
+            TechniqueKind::GatedVss,
+        ]
+        .iter()
+        .flat_map(|&k| Benchmark::ALL.iter().map(move |&b| (b, k)))
+        .collect();
+        assert_eq!(order.into_iter().copied().collect::<Vec<_>>(), expected);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn stream_order_is_a_stable_round_robin(
+            streams in proptest::collection::vec(0u8..6, 0..40)
+        ) {
+            // Item i is (its stream, i): ids are unique.
+            let items: Vec<(u8, usize)> = streams.iter().copied().zip(0..).collect();
+            let order = stream_interleaved(&items, |&(s, _)| s);
+            // Rank of an item within its stream.
+            let rank = |&(s, i): &(u8, usize)| items[..i].iter().filter(|(t, _)| *t == s).count();
+            // Every stream's k-th item precedes any stream's (k+1)-th.
+            let ranks: Vec<usize> = order.iter().map(|&item| rank(item)).collect();
+            proptest::prop_assert!(ranks.windows(2).all(|w| w[0] <= w[1]), "ranks {:?}", ranks);
+            // Order within a stream is preserved.
+            for s in 0..6u8 {
+                let before: Vec<usize> = items.iter().filter(|x| x.0 == s).map(|x| x.1).collect();
+                let after: Vec<usize> = order.iter().filter(|x| x.0 == s).map(|x| x.1).collect();
+                proptest::prop_assert_eq!(before, after);
+            }
+            // Nothing lost or duplicated.
+            let mut ids: Vec<usize> = order.iter().map(|x| x.1).collect();
+            ids.sort_unstable();
+            proptest::prop_assert_eq!(ids, (0..items.len()).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -84,6 +84,13 @@ impl SpecTrace {
         self.ops_emitted
     }
 
+    /// Keystream words drawn so far: a deterministic work counter that
+    /// moves only if a draw is added, dropped or changes width.
+    pub fn keystream_words(&self) -> u64 {
+        // A stream never draws 2^64 words.
+        self.rng.get_word_pos() as u64
+    }
+
     fn pick_dest(&mut self) -> u8 {
         // Rotate through integer registers 1..=24, leaving a few registers
         // as perennially-ready sources.
@@ -488,5 +495,34 @@ mod tests {
         p.load_frac = 1.5;
         let result = std::panic::catch_unwind(|| SpecTrace::with_profile(p, 0));
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn zero_stream_burst_rejected() {
+        // A zero burst would underflow the stream's remaining-use count.
+        let mut p = Benchmark::Bzip2.profile();
+        p.stream_burst = 0;
+        let result = std::panic::catch_unwind(|| SpecTrace::with_profile(p, 0));
+        assert!(result.is_err());
+    }
+
+    /// Keystream words drawn by fixed streams, recorded before the
+    /// ChaCha8 refill was vectorised: a draw added, dropped or widened
+    /// anywhere in the generator moves these counts on every host.
+    #[test]
+    fn keystream_words_are_pinned() {
+        let pins = [
+            (Benchmark::Gcc, 12_345, 50_000, 664_353),
+            (Benchmark::Gzip, 7, 20_000, 312_473),
+            (Benchmark::Mcf, 1, 30_000, 360_287),
+            (Benchmark::Crafty, 99, 10_000, 170_092),
+        ];
+        for (b, seed, n, words) in pins {
+            let mut t = SpecTrace::new(b, seed);
+            for _ in 0..n {
+                t.next_op();
+            }
+            assert_eq!(t.keystream_words(), words, "{b} seed {seed} at {n} ops");
+        }
     }
 }

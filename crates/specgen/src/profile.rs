@@ -184,7 +184,8 @@ impl BenchmarkProfile {
     ///
     /// # Panics
     ///
-    /// Panics if any fraction is outside `[0, 1]` or the mixes exceed 1.
+    /// Panics if any fraction is outside `[0, 1]`, the mixes exceed 1, or
+    /// the stack, hot-pool or code size or the stream burst is zero.
     pub fn assert_valid(&self) {
         let fracs = [
             self.load_frac,
@@ -224,6 +225,11 @@ impl BenchmarkProfile {
         let mem = self.stack_frac + self.resident_frac + self.stream_frac + self.chase_frac;
         assert!(mem <= 1.0, "memory mix exceeds 1.0 in {}", self.benchmark);
         assert!(self.stack_lines > 0 && self.hot_lines > 0 && self.code_blocks > 0);
+        assert!(
+            self.stream_burst > 0,
+            "stream burst must be positive in {}",
+            self.benchmark
+        );
     }
 }
 
