@@ -10,15 +10,17 @@
 //! state allocates nothing.
 //!
 //! Decay deadlines are not found by sweeping lines. A hierarchical timing
-//! wheel ([`crate::wheel::TimingWheel`]) schedules exactly the events that
-//! can change a line's state on their own:
+//! wheel ([`crate::wheel::TimingWheel`]) schedules the events that start a
+//! line's decay on their own:
 //!
 //! - the quarter-interval wrap at which a line's two-bit counter would
 //!   saturate (`noaccess` policy) — one event per live line, rescheduled in
 //!   O(1) when an access resets the counter;
-//! - the recurring full-interval flush (`simple` policy) — one event total;
-//! - `GoingToSleep`/`Waking { until }` settle expiries — one per line in
-//!   transition.
+//! - the recurring full-interval flush (`simple` policy) — one event total.
+//!
+//! `GoingToSleep`/`Waking { until }` settle expiries are not scheduled:
+//! an expired transition collapses lazily the next time the line is
+//! settled or its mode is read (see the `wheel` field).
 //!
 //! [`Cache::advance_to`] ticks the wheel from one due event to the next
 //! instead of iterating lines, so a time jump across an idle stretch costs
@@ -33,14 +35,14 @@
 //!
 //! ## Timing and accounting model
 //!
-//! The driver calls [`Cache::tick`] once per cycle (O(1) when no event is
-//! due) and [`Cache::access`] per reference. Line power modes are resolved
-//! lazily: each line records when its current mode began, and the elapsed
-//! line-cycles are attributed to the right [`ModeCycles`] bucket whenever
-//! the line is next touched (access, due event, or finalization). The
-//! integrals are exact — nothing is sampled — and settlement is additive
-//! over mode segments, so event-driven settlement order produces bitwise
-//! the same [`CacheStats`] as a per-wrap full sweep.
+//! The driver calls [`Cache::advance_to`] as time moves (O(1) when no
+//! event is due) and [`Cache::access`] per reference. Line power modes are
+//! resolved lazily: each line records when its current mode began, and the
+//! elapsed line-cycles are attributed to the right [`ModeCycles`] bucket
+//! whenever the line is next touched (access, due event, or finalization).
+//! The integrals are exact — nothing is sampled — and settlement is
+//! additive over mode segments, so event-driven settlement order produces
+//! bitwise the same [`CacheStats`] as a per-wrap full sweep.
 //!
 //! [`ModeCycles`]: crate::stats::ModeCycles
 //!
@@ -104,7 +106,7 @@ pub struct AccessResult {
 }
 
 /// Data state of one line as seen through [`Cache::line_view`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LineDataView {
     /// Never filled (or invalidated).
     Empty,
@@ -117,14 +119,14 @@ pub enum LineDataView {
 }
 
 /// Read-only snapshot of one line's internal state ([`Cache::line_view`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LineView {
     /// The resident (or ghost) tag.
     pub tag: u64,
     /// Data state.
     pub data: LineDataView,
     /// Raw power mode (transitions may have completed in wall-clock terms;
-    /// resolve with [`LineView::resolved_mode`]).
+    /// resolve with [`LineMode::resolved_at`]).
     pub mode: LineMode,
     /// Cycle the current mode began.
     pub mode_since: u64,
@@ -132,18 +134,6 @@ pub struct LineView {
     pub local_counter: u8,
     /// Monotone recency stamp (larger = more recently used).
     pub lru_stamp: u64,
-}
-
-impl LineView {
-    /// The mode the line is effectively in at cycle `now`, collapsing
-    /// transitions whose settle deadline has passed.
-    pub fn resolved_mode(&self, now: u64) -> LineMode {
-        match self.mode {
-            LineMode::GoingToSleep { until } if now > until => LineMode::Standby,
-            LineMode::Waking { until } if now > until => LineMode::Active,
-            m => m,
-        }
-    }
 }
 
 /// Data-state byte: never filled (or invalidated).
@@ -156,7 +146,7 @@ const STATE_GHOST: u8 = 2;
 /// Struct-of-arrays line storage: one entry per line in way-major order
 /// (line `set * assoc + way`), so a set's ways are contiguous in every
 /// array. Allocated once at construction; never grows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct LineSlab {
     /// Resident (or ghost) tag.
     tag: Vec<u64>,
@@ -208,7 +198,7 @@ impl LineSlab {
 }
 
 /// A single cache level.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
     decay: Option<DecayConfig>,
@@ -271,7 +261,7 @@ impl Cache {
     }
 
     /// Statistics accumulated so far. Mode-cycle integrals are only current
-    /// up to the last [`Cache::snapshot`]/[`Cache::finalize`] call.
+    /// up to the last [`Cache::finalize`] call.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
     }
@@ -318,16 +308,6 @@ impl Cache {
         let deadline = self.decay_deadline(i);
         if let Some(wheel) = self.wheel.as_mut() {
             wheel.schedule(Self::decay_event_id(i), deadline);
-        }
-    }
-
-    /// Line `i`'s mode at `now` with expired transitions collapsed
-    /// (read-only counterpart of settlement).
-    fn resolved_mode_at(&self, i: usize, now: u64) -> LineMode {
-        match self.slab.mode[i] {
-            LineMode::GoingToSleep { until } if now > until => LineMode::Standby,
-            LineMode::Waking { until } if now > until => LineMode::Active,
-            m => m,
         }
     }
 
@@ -381,15 +361,6 @@ impl Cache {
             &mut self.stats,
             now,
         );
-    }
-
-    /// Advances the decay machinery by one cycle. O(1) unless a scheduled
-    /// event (a line's decay deadline or the `Simple` flush) falls due this
-    /// cycle — only due events are touched; lines are never swept.
-    /// Equivalent to `advance_to(now)` for drivers that walk time cycle by
-    /// cycle.
-    pub fn tick(&mut self, now: u64) {
-        self.advance_to(now.max(self.clock.saturating_add(1)));
     }
 
     /// Processes every scheduled decay event in `(current clock, now]` at
@@ -563,7 +534,7 @@ impl Cache {
             DecayPolicy::NoAccess => {
                 for i in 0..self.cfg.num_lines() {
                     let live = matches!(
-                        self.resolved_mode_at(i, self.clock),
+                        self.slab.mode[i].resolved_at(self.clock),
                         LineMode::Active | LineMode::Waking { .. }
                     );
                     if live {
@@ -648,7 +619,7 @@ impl Cache {
             if d.tags_decay && d.behavior == StandbyBehavior::Preserving {
                 let standby_ways = range
                     .clone()
-                    .filter(|&i| !self.resolved_mode_at(i, now).is_fully_active())
+                    .filter(|&i| !self.slab.mode[i].resolved_at(now).is_fully_active())
                     .count() as u32;
                 if standby_ways > 0 {
                     extra += d.wake_settle_cycles;
@@ -881,19 +852,6 @@ impl Cache {
         }
     }
 
-    /// Current number of lines whose mode would be `Standby` at `now`
-    /// (resolves transitions read-only; intended for tests and probes, not
-    /// the hot path).
-    pub fn standby_line_count(&self, now: u64) -> usize {
-        (0..self.cfg.num_lines())
-            .filter(|&i| match self.slab.mode[i] {
-                LineMode::Standby => true,
-                LineMode::GoingToSleep { until } => now >= until,
-                _ => false,
-            })
-            .count()
-    }
-
     /// Checks that the wheel's schedule agrees with the slab's derived
     /// deadlines: every live line under `noaccess` has its decay event at
     /// exactly the wrap its counter saturates, and the `Simple` flush sits
@@ -914,7 +872,7 @@ impl Cache {
             DecayPolicy::NoAccess => {
                 for i in 0..self.cfg.num_lines() {
                     let live = matches!(
-                        self.resolved_mode_at(i, self.clock),
+                        self.slab.mode[i].resolved_at(self.clock),
                         LineMode::Active | LineMode::Waking { .. }
                     );
                     match (live, wheel.deadline_of(Self::decay_event_id(i))) {
@@ -966,20 +924,15 @@ impl Cache {
         Ok(())
     }
 
-    /// Brings the mode-cycle integrals up to `now` for every line. Call at
-    /// simulation end (or before re-pricing leakage mid-run).
-    pub fn snapshot(&mut self, now: u64) {
+    /// Brings the mode-cycle integrals up to `now` (or the clock, if
+    /// later) for every line and records that cycle, so the line-cycle
+    /// conservation law (`mode_cycles.total() == num_lines × cycle`)
+    /// becomes checkable. Call at simulation end.
+    pub fn finalize(&mut self, now: u64) {
+        let now = now.max(self.clock);
         for i in 0..self.cfg.num_lines() {
             self.settle_line(i, now);
         }
-    }
-
-    /// [`Cache::snapshot`] at end of run: additionally records the
-    /// finalization cycle so the line-cycle conservation law
-    /// (`mode_cycles.total() == num_lines × cycle`) becomes checkable.
-    pub fn finalize(&mut self, now: u64) {
-        let now = now.max(self.clock);
-        self.snapshot(now);
         self.finalized_at = Some(now);
     }
 
@@ -1047,9 +1000,16 @@ mod tests {
 
     fn run_idle(cache: &mut Cache, from: u64, cycles: u64) -> u64 {
         for t in from..from + cycles {
-            cache.tick(t);
+            cache.advance_to(t + 1);
         }
         from + cycles
+    }
+
+    /// Lines whose resolved mode at `now` is `Standby`.
+    fn standby_lines(cache: &Cache, now: u64) -> usize {
+        (0..cache.config().num_lines())
+            .filter(|&i| cache.line_view(i).mode.resolved_at(now) == LineMode::Standby)
+            .count()
     }
 
     #[test]
@@ -1091,7 +1051,7 @@ mod tests {
         let mut c = Cache::new(CacheConfig::l1_64k_2way(), Some(gated_cfg(1024))).unwrap();
         c.access(0x1000, AccessKind::Read, 0);
         let now = run_idle(&mut c, 0, 1024 + 40);
-        assert!(c.standby_line_count(now) > 0, "idle lines must decay");
+        assert!(standby_lines(&c, now) > 0, "idle lines must decay");
         assert!(!c.probe(0x1000), "gated line loses its data");
     }
 
@@ -1207,9 +1167,9 @@ mod tests {
         c.access(0x40, AccessKind::Read, 1);
         let now = run_idle(&mut c, 0, 5000);
         c.finalize(now);
-        // tick(t) processes cycle t by advancing the clock to t+1, so the
-        // clock may sit past the caller's `now`; the conservation law is
-        // stated against the cycle finalize actually integrated to.
+        // The clock may sit past the caller's `now` (an access clamps to
+        // it); the conservation law is stated against the cycle finalize
+        // actually integrated to.
         let at = c.finalized_at().expect("just finalized");
         assert!(at >= now);
         let mc = c.stats().mode_cycles;
@@ -1339,7 +1299,7 @@ mod tests {
         assert_eq!(c.stats().induced_misses, 0);
         // And after the full new interval it decays as usual.
         let now = run_idle(&mut c, now, 800_000);
-        assert!(c.standby_line_count(now) > 0);
+        assert!(standby_lines(&c, now) > 0);
         assert!(!c.probe(0x1000), "full new interval still decays");
     }
 
@@ -1379,7 +1339,7 @@ mod tests {
         let mut c = Cache::new(CacheConfig::l1_64k_2way(), None).unwrap();
         c.access(0x0, AccessKind::Read, 0);
         let now = run_idle(&mut c, 0, 100_000);
-        assert_eq!(c.standby_line_count(now), 0);
+        assert_eq!(standby_lines(&c, now), 0);
         assert_eq!(c.stats().sleeps, 0);
     }
 }

@@ -14,8 +14,8 @@
 //! wrap count on demand and schedules every line's saturation cycle on a
 //! timing wheel ([`crate::TimingWheel`]), so no code here — or anywhere on
 //! the hot path — walks all lines at a wrap. The retained
-//! [`crate::ReferenceCache`] keeps the literal sweep as the executable
-//! specification.
+//! `ReferenceCache` (the dev-only `oracles` crate) keeps the literal sweep
+//! as the executable specification.
 
 use serde::{Deserialize, Serialize};
 use units::{Cycles, PerCycle};
@@ -82,7 +82,7 @@ impl DecayConfig {
 }
 
 /// Power mode of one cache line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LineMode {
     /// Fully powered; normal access latency; full leakage.
     Active,
@@ -111,13 +111,24 @@ impl LineMode {
     pub fn is_fully_active(&self) -> bool {
         matches!(self, LineMode::Active)
     }
+
+    /// The mode at cycle `now` with any transition whose settle deadline
+    /// has passed collapsed (read-only counterpart of settlement: a
+    /// transition still counts as one at `now == until`).
+    #[inline]
+    pub fn resolved_at(self, now: u64) -> LineMode {
+        match self {
+            LineMode::GoingToSleep { until } if now > until => LineMode::Standby,
+            LineMode::Waking { until } if now > until => LineMode::Active,
+            m => m,
+        }
+    }
 }
 
 /// The hierarchical counter state shared by a cache's lines.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GlobalCounter {
     period: u64,
-    value: u64,
     /// Count of global-counter wraps (each wrap triggers a local-counter
     /// sweep; used for counter-energy accounting).
     pub wraps: u64,
@@ -128,21 +139,7 @@ impl GlobalCounter {
     pub fn new(period: u64) -> Self {
         GlobalCounter {
             period: period.max(1),
-            value: 0,
             wraps: 0,
-        }
-    }
-
-    /// Advances one cycle; returns `true` on wrap (local counters must then
-    /// be swept).
-    pub fn tick(&mut self) -> bool {
-        self.value += 1;
-        if self.value >= self.period {
-            self.value = 0;
-            self.wraps += 1;
-            true
-        } else {
-            false
         }
     }
 
@@ -173,16 +170,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn global_counter_wraps_at_period() {
-        let mut c = GlobalCounter::new(4);
-        assert!(!c.tick());
-        assert!(!c.tick());
-        assert!(!c.tick());
-        assert!(c.tick());
-        assert_eq!(c.wraps, 1);
-    }
-
-    #[test]
     fn quarter_interval_floors_at_one() {
         let cfg = DecayConfig {
             interval_cycles: 2,
@@ -196,26 +183,18 @@ mod tests {
     }
 
     #[test]
-    fn four_wraps_equal_one_interval() {
-        let cfg = DecayConfig {
-            interval_cycles: 4096,
-            policy: DecayPolicy::NoAccess,
-            tags_decay: true,
-            behavior: StandbyBehavior::Preserving,
-            sleep_settle_cycles: 3,
-            wake_settle_cycles: 3,
-        };
-        let mut c = GlobalCounter::new(cfg.quarter_interval());
-        let mut wraps = 0;
-        for _ in 0..cfg.interval_cycles {
-            if c.tick() {
-                wraps += 1;
-            }
-        }
+    fn transitions_resolve_only_after_their_deadline() {
+        let sleeping = LineMode::GoingToSleep { until: 5 };
         assert_eq!(
-            wraps, 4,
-            "a line idle for the whole interval sees 4 local increments"
+            sleeping.resolved_at(5),
+            sleeping,
+            "still settling at `until`"
         );
+        assert_eq!(sleeping.resolved_at(6), LineMode::Standby);
+        let waking = LineMode::Waking { until: 5 };
+        assert_eq!(waking.resolved_at(5), waking);
+        assert_eq!(waking.resolved_at(6), LineMode::Active);
+        assert_eq!(LineMode::Standby.resolved_at(0), LineMode::Standby);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub struct DataAccessOutcome {
 }
 
 /// The simulated memory hierarchy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Hierarchy {
     l1i: Cache,
     l1d: Cache,
@@ -102,11 +102,6 @@ impl Hierarchy {
     /// The unified L2.
     pub fn l2(&self) -> &Cache {
         &self.l2
-    }
-
-    /// Advances per-cycle machinery (decay counters).
-    pub fn tick(&mut self, now: u64) {
-        self.l1d.tick(now);
     }
 
     /// Batch-advances the decay machinery to `now` (see
@@ -300,7 +295,7 @@ mod tests {
         let mut h = Hierarchy::new(HierarchyConfig::table2(11, Some(gated(512)))).unwrap();
         h.data_access(0x1000, AccessKind::Read, 0);
         for t in 0..1200u64 {
-            h.tick(t);
+            h.advance_to(t + 1);
         }
         let out = h.data_access(0x1000, AccessKind::Read, 1200);
         assert!(out.induced);
@@ -312,7 +307,7 @@ mod tests {
         let mut h = Hierarchy::new(HierarchyConfig::table2(11, Some(gated(512)))).unwrap();
         h.data_access(0x1000, AccessKind::Write, 0);
         for t in 0..1200u64 {
-            h.tick(t);
+            h.advance_to(t + 1);
         }
         let out = h.data_access(0x9999_0000, AccessKind::Read, 1200);
         assert!(
@@ -346,7 +341,7 @@ mod tests {
         let mut h = Hierarchy::new(HierarchyConfig::table2(11, Some(gated(512)))).unwrap();
         h.data_access(0x1000, AccessKind::Write, 0);
         for t in 0..1200u64 {
-            h.tick(t);
+            h.advance_to(t + 1);
         }
         let report = h.audit().unwrap_err();
         assert!(

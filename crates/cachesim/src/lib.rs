@@ -12,6 +12,13 @@
 //! standby-based technique (gated-V_ss, drowsy, RBB) be expressed as a
 //! [`StandbyBehavior`] plus a [`DecayConfig`].
 //!
+//! The crate's oracles are test code and do not ship here: the naive
+//! full-sweep `ReferenceCache` lives in the dev-only `oracles` crate, and
+//! the exhaustive mode-machine model checker is the `modelcheck`
+//! integration test. They drive [`Cache`] from outside through
+//! [`Cache::line_view`], [`Cache::wrap_phase`], [`Cache::probe`] and
+//! [`Cache::clock`].
+//!
 //! ## Example
 //!
 //! ```
@@ -41,8 +48,6 @@ pub mod cache;
 pub mod config;
 pub mod decay;
 pub mod hierarchy;
-pub mod modelcheck;
-pub mod reference;
 pub mod reuse;
 pub mod stats;
 pub mod wheel;
@@ -51,6 +56,5 @@ pub use cache::{AccessKind, AccessResult, Cache, LineDataView, LineView, MissKin
 pub use config::{CacheConfig, ConfigError};
 pub use decay::{DecayConfig, DecayPolicy, LineMode, StandbyBehavior, MIN_DECAY_INTERVAL_CYCLES};
 pub use hierarchy::{DataAccessOutcome, Hierarchy, HierarchyConfig};
-pub use reference::ReferenceCache;
 pub use stats::{CacheStats, ModeCycles};
 pub use wheel::TimingWheel;

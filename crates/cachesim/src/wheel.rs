@@ -37,8 +37,6 @@
 //! cycles, which keeps the per-wrap bulk accounting in
 //! [`crate::Cache::advance_to`] exact.
 
-use serde::{Deserialize, Serialize};
-
 /// log2 of the slots per level.
 pub const SLOT_BITS: u32 = 6;
 /// Slots per level.
@@ -54,7 +52,7 @@ const LOC_NONE: u16 = u16::MAX;
 const LOC_OVERFLOW: u16 = u16::MAX - 1;
 
 /// One wheel level: a slot-occupancy bitmap plus the list head per slot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Level {
     /// Bit `s` set ⇔ `heads[s]` is non-empty.
     occupied: u64,
@@ -63,7 +61,7 @@ struct Level {
 }
 
 /// The wheel. See the module docs for the design.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimingWheel {
     /// Internal clock: all scheduled deadlines are `> now` except while
     /// [`TimingWheel::pop_next`] is mid-drain at the current cycle.

@@ -1,6 +1,6 @@
 //! Differential oracle: the time-jumping `advance_to` fast path must be
-//! bitwise-indistinguishable from a deliberately naive per-cycle `tick`
-//! reference driver — same `CacheStats` (including the `ModeCycles`
+//! bitwise-indistinguishable from a deliberately naive driver that
+//! advances one cycle at a time — same `CacheStats` (including the `ModeCycles`
 //! integrals), same hit/miss/latency outcome for every access — across
 //! random traces, both standby behaviors, both decay policies, tag decay
 //! on/off, and adaptive interval switches mid-run.
@@ -78,7 +78,7 @@ fn run_both(decay: DecayConfig, ops: &[Op]) -> (CacheStats, CacheStats) {
             Op::Access { addr, write, gap } => {
                 let next = now + gap;
                 for t in now..next {
-                    naive.tick(t);
+                    naive.advance_to(t + 1);
                 }
                 fast.advance_to(next);
                 let kind = if write {
@@ -94,7 +94,7 @@ fn run_both(decay: DecayConfig, ops: &[Op]) -> (CacheStats, CacheStats) {
             Op::SetInterval { interval, gap } => {
                 let next = now + gap;
                 for t in now..next {
-                    naive.tick(t);
+                    naive.advance_to(t + 1);
                 }
                 fast.advance_to(next);
                 naive.set_decay_interval(interval);
@@ -106,7 +106,7 @@ fn run_both(decay: DecayConfig, ops: &[Op]) -> (CacheStats, CacheStats) {
     // Let any trailing decay play out identically, then settle integrals.
     let end = now + 4096;
     for t in now..end {
-        naive.tick(t);
+        naive.advance_to(t + 1);
     }
     fast.advance_to(end);
     naive.finalize(end);

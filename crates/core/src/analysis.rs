@@ -158,7 +158,7 @@ impl BaselinePoint {
 
 /// Predicts per-benchmark best decay intervals from a [`WorkloadProfile`]
 /// and the technique's break-even economics — the analytic half of the
-/// prediction-vs-simulation oracle (`simcore::fidelity`).
+/// prediction-vs-simulation oracle (`tests/fidelity/oracle.rs`).
 ///
 /// The model mirrors the pricing pipeline in miniature. For a candidate
 /// interval `d`, every reuse gap `g > d` contributes the standby leakage

@@ -49,7 +49,6 @@ pub mod ablation;
 pub mod adaptive;
 pub mod analysis;
 pub mod config;
-pub mod fidelity;
 pub mod figures;
 pub mod parallel;
 pub mod pricing;

@@ -12,8 +12,9 @@
 //! * [`trace`] — seeded victim traces differing only in a one-bit
 //!   secret (gap-conflict and set-select victims);
 //! * [`observer`] — prime+probe and evict+time attacker models replayed
-//!   against the study's `Cache` (or `ReferenceCache` — the trials are
-//!   generic, so the oracle suite can diff them bitwise);
+//!   against the study's `Cache` (or the dev-only `oracles` crate's
+//!   `ReferenceCache` — the trials are generic, so the oracle suite can
+//!   diff them bitwise);
 //! * [`metrics`] — observation-partition count, min-entropy leakage,
 //!   Welch-t distinguishability and its seeded-permutation null over
 //!   the quantized probe-timing alphabet;

@@ -3,12 +3,13 @@
 //!
 //! The runner is generic over [`ProbeTarget`] so the exact same trial
 //! code drives both the production [`Cache`] and the intentionally-slow
-//! [`ReferenceCache`]; the `leakage-oracle` differential suite compares
-//! the two latency vectors bitwise. All timing is simulated
+//! `ReferenceCache` (the dev-only `oracles` crate implements this trait
+//! for it); the `leakage-oracle` differential suite
+//! (`tests/oracle.rs`) compares the two latency vectors bitwise. All timing is simulated
 //! [`Cycles`] — wall-clock time never enters the harness (enforced by
 //! the `no-wallclock-in-leakage` lint rule).
 
-use cachesim::{AccessKind, AccessResult, Cache, ReferenceCache};
+use cachesim::{AccessKind, AccessResult, Cache};
 use units::Cycles;
 
 use crate::trace::{addr_of, TimedAccess, ASSOC, HIT_LATENCY_CYCLES, MEM_LATENCY_CYCLES, NUM_SETS};
@@ -20,8 +21,8 @@ pub const ATTACKER_TAG_BASE: u64 = 0x40;
 const PRIME_STRIDE: u64 = 2;
 
 /// The cache-model surface a trial needs. Implemented by the
-/// production [`Cache`] and by [`ReferenceCache`] so trials replay
-/// identically on both.
+/// production [`Cache`] here and by `oracles::ReferenceCache` so trials
+/// replay identically on both.
 pub trait ProbeTarget {
     /// One access at absolute cycle `now`.
     fn access(&mut self, addr: u64, kind: AccessKind, now: u64) -> AccessResult;
@@ -40,18 +41,6 @@ impl ProbeTarget for Cache {
     }
     fn set_decay_interval(&mut self, interval_cycles: u64) {
         Cache::set_decay_interval(self, interval_cycles);
-    }
-}
-
-impl ProbeTarget for ReferenceCache {
-    fn access(&mut self, addr: u64, kind: AccessKind, now: u64) -> AccessResult {
-        ReferenceCache::access(self, addr, kind, now)
-    }
-    fn advance_to(&mut self, now: u64) {
-        ReferenceCache::advance_to(self, now);
-    }
-    fn set_decay_interval(&mut self, interval_cycles: u64) {
-        ReferenceCache::set_decay_interval(self, interval_cycles);
     }
 }
 

@@ -5,11 +5,12 @@
 //! trustworthy: the attacker's observations are a property of the
 //! *modelled policy*, not of the optimized implementation.
 
-use cachesim::{Cache, ReferenceCache};
+use cachesim::Cache;
 use leakage::{
     harness_cache_config, run_trial, victim_trace, HarnessSpec, PolicyKind, Scenario,
     TABLE3_INTERVALS,
 };
+use oracles::ReferenceCache;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 

@@ -649,9 +649,10 @@ impl RunStore {
     /// # Errors
     ///
     /// Returns [`io::Error`] if the directory cannot be listed or the
-    /// fresh segment cannot be written; the old segments are only
-    /// deleted after the rewrite is durable, so a failed pass leaves
-    /// every live record readable.
+    /// fresh segment cannot be written or synced; the old segments are
+    /// only deleted after the rewrite is durable (the new segment and the
+    /// store directory are both `sync_all`ed first), so a failed pass
+    /// leaves every live record readable.
     pub fn compact(&self) -> io::Result<CompactReport> {
         self.flush();
         // Quiesce, snapshot, and bump the epoch under one lock hold: the
@@ -727,8 +728,12 @@ impl RunStore {
                 },
             ));
         }
+        // Make the rewrite durable before anything is retired: the new
+        // segment's bytes, then its directory entry. Without both, a power
+        // cut after the deletions below could lose live records.
         if let Some(open) = seg.as_mut() {
-            open.file.flush()?;
+            open.file.sync_all()?;
+            fs::File::open(&self.shared.dir)?.sync_all()?;
         }
         let live_records = moved.len() as u64;
         // Publish the new locations, then drop anything still pointing

@@ -1,8 +1,8 @@
 //! Offline shim for the `serde_json` 1.x API surface this workspace
 //! uses: rendering the shim `serde::Value` tree as JSON text, and parsing
 //! JSON text back into a [`Value`] tree (the golden-data comparisons of
-//! `simcore::fidelity` diff in the `Value` domain, so the shim does not
-//! need typed deserialization).
+//! the fidelity harness, `tests/fidelity/oracle.rs`, diff in the `Value`
+//! domain, so the shim does not need typed deserialization).
 
 use std::error;
 use std::fmt::{self, Write as _};

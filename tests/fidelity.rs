@@ -1,6 +1,6 @@
 //! The fidelity tier: prediction-vs-simulation knee oracle + golden data.
 //!
-//! Two guards (see `simcore::fidelity`):
+//! Two guards (see `fidelity/oracle.rs`):
 //!
 //! * the analytic knee predictor must land within one power of two of the
 //!   simulated best decay interval for every benchmark, both techniques,
@@ -24,8 +24,12 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use simcore::fidelity::{self, Tolerances, ORACLE_L2_LATENCIES};
 use simcore::{Study, StudyConfig};
+
+#[path = "fidelity/oracle.rs"]
+mod oracle;
+
+use oracle::{Tolerances, ORACLE_L2_LATENCIES};
 
 /// Reduced run length for the default (fast) tier: long enough that every
 /// benchmark's resident set develops its reuse pattern, short enough that
@@ -55,7 +59,7 @@ fn updating_goldens() -> bool {
 
 fn assert_oracle_agrees(study: &Study) {
     let report =
-        fidelity::knee_oracle(study, &ORACLE_L2_LATENCIES, 110.0).expect("oracle pipeline runs");
+        oracle::knee_oracle(study, &ORACLE_L2_LATENCIES, 110.0).expect("oracle pipeline runs");
     assert_eq!(
         report.rows.len(),
         11 * 2 * ORACLE_L2_LATENCIES.len(),
@@ -69,7 +73,7 @@ fn assert_oracle_agrees(study: &Study) {
 }
 
 fn assert_goldens_match(study: &Study, file: &str) {
-    let set = fidelity::collect_goldens(study, 110.0).expect("figure pipeline runs");
+    let set = oracle::collect_goldens(study, 110.0).expect("figure pipeline runs");
     let fresh = serde_json::to_string_pretty(&set).expect("snapshot serializes");
     let path = goldens_dir().join(file);
     if updating_goldens() {
@@ -85,12 +89,12 @@ fn assert_goldens_match(study: &Study, file: &str) {
     });
     let expected = serde_json::from_str(&text).expect("checked-in golden parses");
     let actual = serde_json::from_str(&fresh).expect("fresh snapshot parses");
-    let diffs = fidelity::diff_values(&expected, &actual, &Tolerances::default());
+    let diffs = oracle::diff_values(&expected, &actual, &Tolerances::default());
     assert!(
         diffs.is_empty(),
         "figure pipeline drifted from {}\n{}",
         path.display(),
-        fidelity::render_diffs(&diffs)
+        oracle::render_diffs(&diffs)
     );
 }
 
@@ -108,9 +112,9 @@ fn figures_match_fast_goldens() {
 fn goldens_regenerate_deterministically() {
     // Two snapshots from independent studies must be byte-identical —
     // the property that makes UPDATE_GOLDENS runs reproducible.
-    let a = fidelity::collect_goldens(fast_study(), 110.0).expect("first snapshot");
+    let a = oracle::collect_goldens(fast_study(), 110.0).expect("first snapshot");
     let other = Study::new(StudyConfig::with_insts(FAST_INSTS));
-    let b = fidelity::collect_goldens(&other, 110.0).expect("second snapshot");
+    let b = oracle::collect_goldens(&other, 110.0).expect("second snapshot");
     assert_eq!(
         serde_json::to_string_pretty(&a).expect("serializes"),
         serde_json::to_string_pretty(&b).expect("serializes"),
