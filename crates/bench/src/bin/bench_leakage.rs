@@ -1,6 +1,6 @@
 //! Runs the timing-leakage measurement harness over the full
 //! policy × interval × scenario matrix and writes `BENCH_leakage.json`:
-//! the distinguishability sweep ([`leakage::sweep`]) plus the
+//! the distinguishability sweep ([`fn@leakage::sweep`]) plus the
 //! leakage-vs-energy-delay scatter
 //! ([`simcore::figures::leakage_energy_scatter`]) pricing each policy
 //! on a real benchmark.

@@ -29,11 +29,12 @@
 //! 5. **No phantom decay** — a cache without decay machinery must report
 //!    zero sleeps, wakes, slow hits, induced misses, decay writebacks,
 //!    tag probes, and counter activity.
-//! 6. **Schedule coherence** — the timing wheel's pending events must
-//!    agree with the line slab's derived deadlines: every live line's
-//!    decay event sits at the wrap its counter saturates, and every
-//!    unexpired transition has its expiry scheduled (checked structurally
-//!    by [`crate::Cache::schedule_coherence`], reported here as
+//! 6. **Schedule coherence** — the decay ring's pending wraps must agree
+//!    with the line slab's derived counters: every scheduled wrap lies one
+//!    to three wraps ahead (the reach of the four-bucket ring), every live
+//!    line is due at the wrap its counter saturates, and no sleeping line
+//!    is due at all (checked structurally by
+//!    [`crate::Cache::schedule_coherence`], reported here as
 //!    [`AuditViolation::DecayScheduleDrift`]).
 
 use std::error::Error;
@@ -90,8 +91,8 @@ pub enum AuditViolation {
         /// writebacks + tag probes + counter events observed.
         events: u64,
     },
-    /// The timing wheel's schedule disagrees with the line slab's derived
-    /// deadlines (a decay reschedule was dropped or a stale event kept).
+    /// The decay ring's schedule disagrees with the line slab's derived
+    /// counters (a decay reschedule was dropped or a stale entry kept).
     DecayScheduleDrift {
         /// Description of the first drift found.
         detail: String,
@@ -366,7 +367,7 @@ mod tests {
     #[test]
     fn schedule_drift_formats_its_detail() {
         let v = AuditViolation::DecayScheduleDrift {
-            detail: "line 7 decay deadline 128 != derived deadline 192".to_string(),
+            detail: "line 7 is due at wrap Some(5), its counter says Some(6)".to_string(),
         };
         let msg = v.to_string();
         assert!(msg.contains("decay schedule drift"), "{msg}");

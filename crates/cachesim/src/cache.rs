@@ -3,35 +3,31 @@
 //!
 //! ## Data-oriented hot path
 //!
-//! Line state lives in a struct-of-arrays slab ([`LineSlab`]): parallel,
+//! Line state lives in a struct-of-arrays slab (`LineSlab`): parallel,
 //! contiguous arrays (way-major, so each set is a contiguous stripe) for
 //! tags, data-state bytes, packed dirty bits, power modes, and decay
 //! bookkeeping. All of it is allocated once at construction; the steady
 //! state allocates nothing.
 //!
-//! Decay deadlines are not found by sweeping lines. A hierarchical timing
-//! wheel ([`crate::wheel::TimingWheel`]) schedules the events that start a
-//! line's decay on their own:
+//! The per-line two-bit counters are not stored incrementally: a line
+//! records the global wrap count at its last counter reset
+//! (`reset_sweep`), and the counter is *derived* as
+//! `min(wraps - reset_sweep, 3)` whenever observed. That makes the
+//! per-wrap "increment every local counter" of the hierarchical counter
+//! scheme an O(1) accounting step rather than a per-line write.
 //!
-//! - the quarter-interval wrap at which a line's two-bit counter would
-//!   saturate (`noaccess` policy) — one event per live line, rescheduled in
-//!   O(1) when an access resets the counter;
-//! - the recurring full-interval flush (`simple` policy) — one event total.
+//! Decay deadlines are not found by sweeping lines either. Under the
+//! `noaccess` policy a line decays on the wrap its counter saturates — the
+//! third wrap after its last touch — so a four-bucket ring keyed by wrap
+//! (`WrapRing`, in `wheel.rs`) holds one entry per live line, moved in
+//! O(1) when an access resets the counter. [`Cache::advance_to`] walks
+//! the wraps it crosses and drains only each wrap's bucket, so a wrap
+//! costs O(lines due), not O(lines). The `simple` policy's full-interval
+//! flush needs no entry at all: it is every fourth wrap of that walk.
 //!
 //! `GoingToSleep`/`Waking { until }` settle expiries are not scheduled:
 //! an expired transition collapses lazily the next time the line is
-//! settled or its mode is read (see the `wheel` field).
-//!
-//! [`Cache::advance_to`] ticks the wheel from one due event to the next
-//! instead of iterating lines, so a time jump across an idle stretch costs
-//! O(events due), not O(lines × wraps).
-//!
-//! The per-line two-bit counters themselves are not stored incrementally:
-//! a line records the global wrap count at its last counter reset
-//! (`reset_sweep`) plus a base value, and the counter is *derived* as
-//! `min(base + wraps_since_reset, 3)` whenever observed. That makes the
-//! per-wrap "increment every local counter" of the hierarchical counter
-//! scheme a bulk O(1) accounting step rather than a per-line write.
+//! settled or its mode is read (see the `ring` field).
 //!
 //! ## Timing and accounting model
 //!
@@ -64,7 +60,7 @@ use crate::decay::{
     MIN_DECAY_INTERVAL_CYCLES,
 };
 use crate::stats::CacheStats;
-use crate::wheel::TimingWheel;
+use crate::wheel::WrapRing;
 
 /// Read or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -159,12 +155,8 @@ struct LineSlab {
     /// Cycle the current mode began (mode-cycle integrals are settled up
     /// to here).
     mode_since: Vec<u64>,
-    /// Two-bit counter value at the last reset (non-zero only when a
-    /// regime change materializes stale progress; see
-    /// [`Cache::set_decay_interval`]).
-    base_count: Vec<u8>,
     /// Global wrap count at the line's last counter reset; the current
-    /// counter is derived as `min(base + wraps - reset_sweep, 3)`.
+    /// counter is derived as `min(wraps - reset_sweep, 3)`.
     reset_sweep: Vec<u64>,
     /// Monotone recency stamp (larger = more recently used).
     lru_stamp: Vec<u64>,
@@ -178,7 +170,6 @@ impl LineSlab {
             dirty: vec![0; n.div_ceil(64)],
             mode: vec![LineMode::Active; n],
             mode_since: vec![0; n],
-            base_count: vec![0; n],
             reset_sweep: vec![0; n],
             lru_stamp: vec![0; n],
         }
@@ -211,14 +202,14 @@ pub struct Cache {
     /// [`Cache::set_decay_interval`]); wrap `k` of the regime falls at
     /// `regime_start + k * period`.
     regime_start: u64,
-    /// Event schedule; `Some` iff decay is enabled. Event ids: line `i`'s
-    /// decay deadline is `i` and the `Simple` flush is `num_lines`.
+    /// Decay deadlines by wrap, keyed by line index; `Some` iff the decay
+    /// policy is `noaccess` (the `simple` flush needs no schedule).
     /// Transition (`GoingToSleep`/`Waking`) expiries are deliberately not
     /// scheduled: settlement is additive and every raw-mode read happens
     /// after a settle, so expired transitions collapse lazily with
-    /// identical observables — an expiry event would only burn wheel
+    /// identical observables — an expiry entry would only burn ring
     /// traffic on every sleep and wake.
-    wheel: Option<TimingWheel>,
+    ring: Option<WrapRing>,
     /// The cycle the mode-cycle integrals were last brought fully up to
     /// date at ([`Cache::finalize`]); cleared by any later activity.
     finalized_at: Option<u64>,
@@ -243,7 +234,9 @@ impl Cache {
             stamp: 0,
             clock: 0,
             regime_start: 0,
-            wheel: decay.map(|_| TimingWheel::new(n + 1)),
+            ring: decay
+                .filter(|d| d.policy == DecayPolicy::NoAccess)
+                .map(|_| WrapRing::new(n)),
             finalized_at: None,
         };
         cache.rebuild_schedule();
@@ -266,20 +259,11 @@ impl Cache {
         &self.stats
     }
 
-    /// Event id of line `i`'s decay deadline.
-    fn decay_event_id(i: usize) -> u32 {
-        i as u32
-    }
-
-    /// Event id of the `Simple` policy's recurring full-interval flush.
-    fn flush_event_id(&self) -> u32 {
-        self.cfg.num_lines() as u32
-    }
-
-    /// Absolute cycle of regime wrap number `wrap`.
-    fn wrap_cycle(&self, wrap: u64) -> u64 {
-        self.regime_start
-            .saturating_add(wrap.saturating_mul(self.global.period()))
+    /// Absolute cycle of regime wrap number `wrap` (`None` past the end of
+    /// time).
+    fn wrap_cycle(&self, wrap: u64) -> Option<u64> {
+        wrap.checked_mul(self.global.period())?
+            .checked_add(self.regime_start)
     }
 
     /// Line `i`'s two-bit counter as of the current clock, derived from its
@@ -288,26 +272,33 @@ impl Cache {
         match self.decay.map(|d| d.policy) {
             Some(DecayPolicy::NoAccess) => {
                 let ticks = self.global.wraps.saturating_sub(self.slab.reset_sweep[i]);
-                (u64::from(self.slab.base_count[i]) + ticks).min(u64::from(LOCAL_COUNTER_MAX)) as u8
+                ticks.min(u64::from(LOCAL_COUNTER_MAX)) as u8
             }
-            _ => self.slab.base_count[i],
+            _ => 0,
         }
     }
 
-    /// The wrap cycle at which line `i`'s counter saturates and the line
-    /// decays (given no further access). A line whose base is already
-    /// saturated decays at the next wrap.
-    fn decay_deadline(&self, i: usize) -> u64 {
-        let remaining = u64::from(LOCAL_COUNTER_MAX.saturating_sub(self.slab.base_count[i])).max(1);
-        self.wrap_cycle(self.slab.reset_sweep[i].saturating_add(remaining))
+    /// The wrap at which line `i`'s counter saturates and the line decays
+    /// (given no further access).
+    fn decay_wrap(&self, i: usize) -> u64 {
+        self.slab.reset_sweep[i] + u64::from(LOCAL_COUNTER_MAX)
     }
 
-    /// (Re)schedules line `i`'s decay deadline from its current counter
-    /// state. O(1).
+    /// Whether line `i` is awake (or waking) at the current clock, and so
+    /// due to decay on some wrap.
+    fn is_live(&self, i: usize) -> bool {
+        matches!(
+            self.slab.mode[i].resolved_at(self.clock),
+            LineMode::Active | LineMode::Waking { .. }
+        )
+    }
+
+    /// (Re)schedules line `i`'s decay from its last counter reset. O(1);
+    /// a no-op unless the policy is `noaccess`.
     fn reschedule_decay(&mut self, i: usize) {
-        let deadline = self.decay_deadline(i);
-        if let Some(wheel) = self.wheel.as_mut() {
-            wheel.schedule(Self::decay_event_id(i), deadline);
+        let wrap = self.decay_wrap(i);
+        if let Some(ring) = self.ring.as_mut() {
+            ring.schedule(i as u32, wrap);
         }
     }
 
@@ -320,35 +311,23 @@ impl Cache {
         if since >= now {
             return;
         }
+        let cycles = &mut stats.mode_cycles;
         loop {
             match *mode {
-                LineMode::Active => {
-                    stats.mode_cycles.active += Cycles::new(now - since);
-                    break;
-                }
-                LineMode::Standby => {
-                    stats.mode_cycles.standby += Cycles::new(now - since);
-                    break;
-                }
-                LineMode::GoingToSleep { until } => {
-                    if now <= until {
-                        stats.mode_cycles.transitioning += Cycles::new(now - since);
-                        break;
+                LineMode::Active => cycles.active += Cycles::new(now - since),
+                LineMode::Standby => cycles.standby += Cycles::new(now - since),
+                LineMode::GoingToSleep { until } | LineMode::Waking { until } => {
+                    cycles.transitioning += Cycles::new(now.min(until) - since);
+                    if now > until {
+                        // Completed at `until`: the rest of the span belongs
+                        // to the mode the transition settled into.
+                        *mode = mode.resolved_at(now);
+                        since = until;
+                        continue;
                     }
-                    stats.mode_cycles.transitioning += Cycles::new(until - since);
-                    *mode = LineMode::Standby;
-                    since = until;
-                }
-                LineMode::Waking { until } => {
-                    if now <= until {
-                        stats.mode_cycles.transitioning += Cycles::new(now - since);
-                        break;
-                    }
-                    stats.mode_cycles.transitioning += Cycles::new(until - since);
-                    *mode = LineMode::Active;
-                    since = until;
                 }
             }
+            break;
         }
         *mode_since = now;
     }
@@ -363,12 +342,11 @@ impl Cache {
         );
     }
 
-    /// Processes every scheduled decay event in `(current clock, now]` at
-    /// its exact cycle — the timing wheel jumps from one due event to the
-    /// next rather than iterating lines — then sets the clock to `now`.
-    /// Lets time-jumping drivers (the one-pass out-of-order model) keep
-    /// decay semantics identical to a per-cycle tick loop. Calls with `now`
-    /// in the past are no-ops.
+    /// Processes every global-counter wrap in `(current clock, now]` at its
+    /// exact cycle — each wrap decays only the lines due on it — then sets
+    /// the clock to `now`. Lets time-jumping drivers (the one-pass
+    /// out-of-order model) keep decay semantics identical to a per-cycle
+    /// tick loop. Calls with `now` in the past are no-ops.
     #[inline]
     pub fn advance_to(&mut self, now: u64) {
         if self.decay.is_none() || now <= self.clock {
@@ -382,52 +360,36 @@ impl Cache {
     /// (large) function just to return.
     fn advance_to_slow(&mut self, now: u64) {
         self.finalized_at = None;
-        // Quiet advances (the common case on the access path) skip the pop
-        // loop outright: `next_due_bound` proves nothing fires by `now`.
-        // The wheel's internal clock then lags ours, which is harmless —
-        // deadlines are absolute, and every schedule is in our future.
-        let events_due = self
-            .wheel
+        // Only `noaccess` keeps a ring. Each of its wraps increments every
+        // line's two-bit counter; the counters are derived on demand, so
+        // only the totals are touched here.
+        let simple = self.ring.is_none();
+        let ticks_per_wrap = self
+            .ring
             .as_ref()
-            .is_some_and(|wheel| wheel.next_due_bound() <= now);
-        if events_due {
-            if let Some(mut wheel) = self.wheel.take() {
-                while let Some((t, id)) = wheel.pop_next(now) {
-                    self.dispatch(&mut wheel, id, t);
-                }
-                self.wheel = Some(wheel);
+            .map_or(0, |_| self.cfg.num_lines() as u64);
+        loop {
+            let wrap = self.global.wraps + 1;
+            let t = match self.wrap_cycle(wrap) {
+                Some(t) if t <= now => t,
+                _ => break,
+            };
+            while let Some(i) = self.ring.as_mut().and_then(|ring| ring.pop(wrap)) {
+                self.on_decay_deadline(i as usize, wrap, t);
             }
-        }
-        // Bulk counter accounting: each wrap increments every line's
-        // two-bit counter under `noaccess` (the counters themselves are
-        // derived on demand, so only the totals are touched here). The
-        // next-wrap comparison keeps the u64 division off the common
-        // wrap-free advance.
-        if now >= self.wrap_cycle(self.global.wraps.saturating_add(1)) {
-            let wraps_now = (now - self.regime_start) / self.global.period();
-            let newly = wraps_now.saturating_sub(self.global.wraps);
-            self.global.wraps = wraps_now;
-            self.stats.global_counter_wraps += newly;
-            if matches!(self.decay.map(|d| d.policy), Some(DecayPolicy::NoAccess)) {
-                self.stats.local_counter_ticks += newly * self.cfg.num_lines() as u64;
+            if simple && wrap.is_multiple_of(4) {
+                self.flush(t);
             }
+            self.global.wraps = wrap;
+            self.stats.global_counter_wraps += 1;
+            self.stats.local_counter_ticks += ticks_per_wrap;
         }
         self.clock = now;
     }
 
-    /// Routes one due wheel event to its handler.
-    fn dispatch(&mut self, wheel: &mut TimingWheel, id: u32, t: u64) {
-        let idx = id as usize;
-        if idx < self.cfg.num_lines() {
-            self.on_decay_deadline(wheel, idx, t);
-        } else {
-            self.on_flush(wheel, t);
-        }
-    }
-
-    /// Line `i`'s two-bit counter saturated at wrap cycle `t`: deactivate
-    /// it if it is (by then) fully active.
-    fn on_decay_deadline(&mut self, wheel: &mut TimingWheel, i: usize, t: u64) {
+    /// Line `i`'s two-bit counter saturated at `wrap` (cycle `t`):
+    /// deactivate it if it is (by then) fully active.
+    fn on_decay_deadline(&mut self, i: usize, wrap: u64, t: u64) {
         self.settle_line(i, t);
         match self.slab.mode[i] {
             LineMode::Active => self.deactivate(i, t),
@@ -435,25 +397,23 @@ impl Cache {
                 // Saturated but mid-wake: retry at the next wrap, exactly
                 // as a per-wrap sweep would (a saturated counter keeps
                 // asking until the line is deactivatable or touched).
-                let retry = t.saturating_add(self.global.period());
-                wheel.schedule(Self::decay_event_id(i), retry);
+                if let Some(ring) = self.ring.as_mut() {
+                    ring.schedule(i as u32, wrap + 1);
+                }
             }
             _ => {}
         }
     }
 
     /// The `Simple` policy's full-interval flush at wrap cycle `t`:
-    /// deactivate every fully active line, then schedule the next flush one
-    /// interval later.
-    fn on_flush(&mut self, wheel: &mut TimingWheel, t: u64) {
+    /// deactivate every fully active line.
+    fn flush(&mut self, t: u64) {
         for i in 0..self.cfg.num_lines() {
             self.settle_line(i, t);
             if matches!(self.slab.mode[i], LineMode::Active) {
                 self.deactivate(i, t);
             }
         }
-        let next = t.saturating_add(self.global.period().saturating_mul(4));
-        wheel.schedule(self.flush_event_id(), next);
     }
 
     /// Puts line `i` into standby, handling dirty data per the technique.
@@ -501,16 +461,13 @@ impl Cache {
     ///
     /// Every line's idle history restarts with the new interval: the
     /// per-line two-bit counters are reset along with the global counter,
-    /// and every live line's decay deadline is rescheduled against the new
-    /// wrap grid. Leaving them stale would let a line carry saturation
+    /// and every live line's decay is rescheduled to wrap 3 of the new
+    /// regime. Leaving them stale would let a line carry saturation
     /// progress earned under a short interval into a longer one, decaying
     /// it after a fraction of the interval the controller just asked for.
     pub fn set_decay_interval(&mut self, interval_cycles: u64) {
         if self.decay.is_none() {
             return;
-        }
-        for base in &mut self.slab.base_count {
-            *base = 0;
         }
         for reset in &mut self.slab.reset_sweep {
             *reset = 0;
@@ -523,35 +480,21 @@ impl Cache {
         self.rebuild_schedule();
     }
 
-    /// Rebuilds the wheel's decay/flush schedule from scratch for the
-    /// current regime (construction and interval switches; steady-state
-    /// maintenance is all O(1) incremental).
+    /// Rebuilds the decay schedule from scratch for the current regime
+    /// (construction and interval switches; steady-state maintenance is
+    /// all O(1) incremental).
     fn rebuild_schedule(&mut self) {
-        let Some(decay) = self.decay else {
+        let Some(mut ring) = self.ring.take() else {
             return;
         };
-        match decay.policy {
-            DecayPolicy::NoAccess => {
-                for i in 0..self.cfg.num_lines() {
-                    let live = matches!(
-                        self.slab.mode[i].resolved_at(self.clock),
-                        LineMode::Active | LineMode::Waking { .. }
-                    );
-                    if live {
-                        self.reschedule_decay(i);
-                    } else if let Some(wheel) = self.wheel.as_mut() {
-                        wheel.cancel(Self::decay_event_id(i));
-                    }
-                }
-            }
-            DecayPolicy::Simple => {
-                let next_flush = self.wrap_cycle(4);
-                let id = self.flush_event_id();
-                if let Some(wheel) = self.wheel.as_mut() {
-                    wheel.schedule(id, next_flush);
-                }
+        for i in 0..self.cfg.num_lines() {
+            if self.is_live(i) {
+                ring.schedule(i as u32, self.decay_wrap(i));
+            } else {
+                ring.cancel(i as u32);
             }
         }
+        self.ring = Some(ring);
     }
 
     fn set_range(&self, set: usize) -> std::ops::Range<usize> {
@@ -666,14 +609,11 @@ impl Cache {
         self.slab.set_dirty(victim, kind == AccessKind::Write);
         self.slab.mode[victim] = LineMode::Active;
         self.slab.mode_since[victim] = now;
-        self.slab.base_count[victim] = 0;
         self.slab.reset_sweep[victim] = self.global.wraps;
         self.slab.lru_stamp[victim] = stamp;
         // O(1) schedule maintenance: the refilled line's idle clock
         // restarts from this touch.
-        if matches!(decay.map(|d| d.policy), Some(DecayPolicy::NoAccess)) {
-            self.reschedule_decay(victim);
-        }
+        self.reschedule_decay(victim);
         if woke {
             self.stats.wakes += 1;
         }
@@ -705,7 +645,7 @@ impl Cache {
     }
 
     /// Handles a hit on a cache without leakage control: modes never leave
-    /// `Active`, counters are never consulted, and there is no wheel — a
+    /// `Active`, counters are never consulted, and there is no ring — a
     /// hit is just LRU and dirty-bit maintenance.
     #[inline]
     fn plain_hit(&mut self, i: usize, kind: AccessKind, stamp: u64) -> AccessResult {
@@ -764,18 +704,16 @@ impl Cache {
             self.slab.set_dirty(i, true);
         }
         // A line that was already live and already touched during the
-        // current wrap derives the same deadline it has scheduled now
-        // (schedule coherence: live line, counter 0), so rescheduling would
-        // cancel-and-relink the identical entry. Skipping that churn keeps
-        // repeated hot-line hits off the wheel entirely. A woken line is
-        // excluded: sleeping lines carry no decay event, so the wake must
+        // current wrap derives the same wrap it has scheduled now (schedule
+        // coherence: live line, counter 0), so rescheduling would unlink
+        // and relink the identical entry. Skipping that churn keeps
+        // repeated hot-line hits off the ring entirely. A woken line is
+        // excluded: sleeping lines carry no decay entry, so the wake must
         // schedule one regardless of its counter state.
-        let fresh =
-            !woke && self.slab.base_count[i] == 0 && self.slab.reset_sweep[i] == self.global.wraps;
-        self.slab.base_count[i] = 0;
+        let fresh = !woke && self.slab.reset_sweep[i] == self.global.wraps;
         self.slab.reset_sweep[i] = self.global.wraps;
         self.slab.lru_stamp[i] = stamp;
-        if !fresh && matches!(decay.map(|d| d.policy), Some(DecayPolicy::NoAccess)) {
+        if !fresh {
             self.reschedule_decay(i);
         }
         if woke {
@@ -852,73 +790,42 @@ impl Cache {
         }
     }
 
-    /// Checks that the wheel's schedule agrees with the slab's derived
-    /// deadlines: every live line under `noaccess` has its decay event at
-    /// exactly the wrap its counter saturates, and the `Simple` flush sits
-    /// on the next full-interval wrap. (Transition expiries are resolved
-    /// lazily and carry no events — see the `wheel` field.) This is the
-    /// audit-side net for dropped or stale reschedules (the `wheel-bug`
-    /// mutant in `mutants/`).
+    /// Checks that the ring's schedule agrees with the slab's derived
+    /// counters under `noaccess`: every scheduled wrap lies within the
+    /// ring's reach (one to three wraps ahead), every live line is due at
+    /// exactly the wrap its counter saturates (or, once saturated mid-wake,
+    /// at the next wrap), and no sleeping line is scheduled. (Transition
+    /// expiries are resolved lazily and carry no entries — see the `ring`
+    /// field; the `simple` flush is every fourth wrap and needs none.)
+    /// This is the audit-side net for dropped or stale reschedules (the
+    /// `wheel-bug` mutant in `mutants/`).
     ///
     /// # Errors
     ///
     /// Returns a description of the first drift found.
     pub fn schedule_coherence(&self) -> Result<(), String> {
-        let (Some(decay), Some(wheel)) = (self.decay.as_ref(), self.wheel.as_ref()) else {
+        let Some(ring) = self.ring.as_ref() else {
             return Ok(());
         };
-        let period = self.global.period();
-        match decay.policy {
-            DecayPolicy::NoAccess => {
-                for i in 0..self.cfg.num_lines() {
-                    let live = matches!(
-                        self.slab.mode[i].resolved_at(self.clock),
-                        LineMode::Active | LineMode::Waking { .. }
-                    );
-                    match (live, wheel.deadline_of(Self::decay_event_id(i))) {
-                        (true, None) => {
-                            return Err(format!("live line {i} has no decay deadline"));
-                        }
-                        (true, Some(d)) if self.local_counter(i) < LOCAL_COUNTER_MAX => {
-                            let expect = self.decay_deadline(i);
-                            if d != expect {
-                                return Err(format!(
-                                    "line {i} decay deadline {d} != derived deadline {expect}"
-                                ));
-                            }
-                        }
-                        (true, Some(d)) => {
-                            // Saturated mid-wake lines retry wrap by wrap;
-                            // any future wrap-aligned deadline is coherent.
-                            let aligned = d == u64::MAX
-                                || (d > self.clock
-                                    && d.saturating_sub(self.regime_start).is_multiple_of(period));
-                            if !aligned {
-                                return Err(format!(
-                                    "saturated line {i} retry deadline {d} is off the wrap grid \
-                                     (clock {}, regime start {}, period {period})",
-                                    self.clock, self.regime_start
-                                ));
-                            }
-                        }
-                        (false, Some(d)) => {
-                            return Err(format!(
-                                "sleeping line {i} still holds a decay deadline at {d}"
-                            ));
-                        }
-                        (false, None) => {}
-                    }
-                }
+        let wraps = self.global.wraps;
+        for i in 0..self.cfg.num_lines() {
+            let due = ring.due(i as u32);
+            if let Some(w) = due.filter(|w| !(wraps + 1..=wraps + 3).contains(w)) {
+                return Err(format!(
+                    "line {i} is due at wrap {w}, beyond the ring's reach from wrap {wraps}"
+                ));
             }
-            DecayPolicy::Simple => {
-                let expect = self.wrap_cycle(4 * (self.global.wraps / 4 + 1));
-                match wheel.deadline_of(self.flush_event_id()) {
-                    Some(d) if d == expect => {}
-                    Some(d) => {
-                        return Err(format!("flush deadline {d} != next full interval {expect}"));
-                    }
-                    None => return Err("no flush event scheduled".to_string()),
-                }
+            let expect = match self.is_live(i) {
+                false => None,
+                true if self.local_counter(i) < LOCAL_COUNTER_MAX => Some(self.decay_wrap(i)),
+                true => Some(wraps + 1),
+            };
+            if due != expect {
+                return Err(format!(
+                    "line {i} is due at wrap {due:?}, its counter says {expect:?} \
+                     (wraps {wraps}, mode {:?})",
+                    self.slab.mode[i]
+                ));
             }
         }
         Ok(())
@@ -943,7 +850,7 @@ impl Cache {
     }
 
     /// Audits this cache's statistics against every per-cache conservation
-    /// law (see [`crate::audit`]), plus the wheel/slab schedule-coherence
+    /// law (see [`crate::audit`]), plus the ring/slab schedule-coherence
     /// invariant.
     ///
     /// # Errors

@@ -11,11 +11,12 @@
 //!
 //! That per-wrap increment is the *hardware model*; the simulator realizes
 //! it event-driven. [`crate::Cache`] derives each two-bit counter from the
-//! wrap count on demand and schedules every line's saturation cycle on a
-//! timing wheel ([`crate::TimingWheel`]), so no code here — or anywhere on
-//! the hot path — walks all lines at a wrap. The retained
-//! `ReferenceCache` (the dev-only `oracles` crate) keeps the literal sweep
-//! as the executable specification.
+//! wrap count on demand and files every live line under the wrap its
+//! counter saturates in a four-bucket ring (the third wrap after a touch
+//! is never more than three ahead), so no code here — or anywhere on the
+//! hot path — walks all lines at a wrap. The retained `ReferenceCache`
+//! (the dev-only `oracles` crate) keeps the literal sweep as the
+//! executable specification.
 
 use serde::{Deserialize, Serialize};
 use units::{Cycles, PerCycle};
@@ -158,11 +159,10 @@ pub const LOCAL_COUNTER_MAX: u8 = 3;
 /// below four cycles would alias several wraps onto one cycle;
 /// [`crate::Cache::set_decay_interval`] clamps to this floor.
 ///
-/// The timing wheel that realizes decay deadlines ticks at single-cycle
-/// granularity, so it imposes no floor of its own: this constant bounds the
-/// *counter arithmetic* (a wrap period of at least one cycle), not the
-/// scheduler. All wheel deadlines land on exact cycles regardless of the
-/// interval chosen.
+/// The decay schedule is kept in wraps, not cycles, so it imposes no floor
+/// of its own: every deadline fires at its exact wrap cycle,
+/// `regime_start + wrap × period`, whatever the interval. The floor only
+/// guarantees distinct wraps fall on distinct cycles.
 pub const MIN_DECAY_INTERVAL_CYCLES: u64 = 4;
 
 #[cfg(test)]

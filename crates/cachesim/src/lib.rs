@@ -50,11 +50,10 @@ pub mod decay;
 pub mod hierarchy;
 pub mod reuse;
 pub mod stats;
-pub mod wheel;
+mod wheel;
 
 pub use cache::{AccessKind, AccessResult, Cache, LineDataView, LineView, MissKind};
 pub use config::{CacheConfig, ConfigError};
 pub use decay::{DecayConfig, DecayPolicy, LineMode, StandbyBehavior, MIN_DECAY_INTERVAL_CYCLES};
 pub use hierarchy::{DataAccessOutcome, Hierarchy, HierarchyConfig};
 pub use stats::{CacheStats, ModeCycles};
-pub use wheel::TimingWheel;

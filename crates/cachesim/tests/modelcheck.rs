@@ -22,11 +22,12 @@
 //!    mutant in `mutants/` reverts the fix for).
 //! 5. **Behavior separation** — preserving standby never induces a miss;
 //!    losing standby never produces a slow hit.
-//! 6. **Schedule coherence** — after every transition the timing wheel's
-//!    pending events agree with the line slab's derived deadlines
+//! 6. **Schedule coherence** — after every transition the decay ring's
+//!    pending wraps agree with the line slab's derived counters
 //!    ([`Cache::schedule_coherence`]): no live line is missing its decay
-//!    event, none sits at a stale cycle, and no sleeping line still holds
-//!    one. Transition expiries carry no events; they collapse lazily.
+//!    entry, none sits at a stale wrap or beyond the ring's three-wrap
+//!    reach, and no sleeping line still holds one. Transition expiries
+//!    carry no entries; they collapse lazily.
 //! 7. **Cross-set independence** (multi-set geometries) — a set's decay
 //!    and replacement behavior is a function of that set's own state and
 //!    the global clock only. Each explored node carries one *shadow*
@@ -186,12 +187,10 @@ fn data_code(d: LineDataView) -> u8 {
 }
 
 fn mode_code(mode: LineMode, now: u64) -> (u8, u64) {
-    match mode {
+    match mode.resolved_at(now) {
         LineMode::Active => (0, 0),
-        LineMode::GoingToSleep { until } if now > until => (2, 0),
         LineMode::GoingToSleep { until } => (1, until - now),
         LineMode::Standby => (2, 0),
-        LineMode::Waking { until } if now > until => (0, 0),
         LineMode::Waking { until } => (3, until - now),
     }
 }
@@ -466,8 +465,8 @@ fn check_invariants(cache: &Cache, obs: &Observation, decay: &DecayConfig) -> Op
         }
     }
 
-    // (6) Schedule coherence: the wheel's pending events must match the
-    // slab's derived deadlines from every reachable state (this is the
+    // (6) Schedule coherence: the ring's pending wraps must match the
+    // slab's derived counters from every reachable state (this is the
     // check that catches the `wheel-bug` dropped-reschedule mutant).
     if let Err(drift) = cache.schedule_coherence() {
         return Some(format!("decay schedule drift: {drift}"));

@@ -1,15 +1,16 @@
-//! Differential oracle for the data-oriented hot path: the timing-wheel
-//! [`Cache`] must be bitwise-indistinguishable from the retained naive
-//! full-sweep [`ReferenceCache`] — same [`AccessResult`] for every access,
-//! same finalized [`CacheStats`] (including the `ModeCycles` integrals),
-//! same resolved line views and probes — across random
-//! traces, both standby behaviors, both decay policies, tag decay on/off,
-//! and adaptive interval switches mid-run. A Table-2 2 MB L2 replay also
-//! checks that the wheel actually beats the reference it replaces.
+//! Differential oracle for the data-oriented hot path: the [`Cache`],
+//! with its wrap-bucket decay ring, must be bitwise-indistinguishable
+//! from the retained naive full-sweep [`ReferenceCache`] — same
+//! [`AccessResult`] for every access, same finalized [`CacheStats`]
+//! (including the `ModeCycles` integrals), same resolved line views and
+//! probes — across random traces, both standby behaviors, both decay
+//! policies, tag decay on/off, and adaptive interval switches mid-run. A
+//! Table-2 2 MB L2 replay also checks that the ring cache actually beats
+//! the reference it replaces.
 //!
 //! Unlike the `oracle` suite (which drives one implementation two ways and
-//! so shares the wheel with what it checks), this suite compares two
-//! *independent* implementations; a scheduling bug in the wheel shows up
+//! so shares the ring with what it checks), this suite compares two
+//! *independent* implementations; a scheduling bug in the ring shows up
 //! here as a divergence even when both drivers agree with each other. The
 //! `wheel-bug` mutant exists to prove exactly that: under
 //! `mutants/run.sh wheel-bug` the deterministic tests below must fail.

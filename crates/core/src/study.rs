@@ -850,16 +850,6 @@ impl Study {
     ///
     /// Returns the first [`StudyError`] any run or pricing produced.
     pub fn compare_many(&self, requests: &[CompareRequest]) -> Result<Vec<RunResult>, StudyError> {
-        self.compare_many_with(self.threads, requests)
-    }
-
-    /// [`Study::compare_many`] with an explicit worker count for this
-    /// call only (the cache is still shared with the rest of the study).
-    fn compare_many_with(
-        &self,
-        threads: usize,
-        requests: &[CompareRequest],
-    ) -> Result<Vec<RunResult>, StudyError> {
         let mut specs: Vec<RunSpec> = Vec::with_capacity(requests.len() * 2);
         let mut seen = std::collections::HashSet::new();
         for r in requests {
@@ -876,7 +866,7 @@ impl Study {
                 }
             }
         }
-        self.run_batch(threads, &specs)?;
+        self.run_batch(&specs)?;
         requests
             .iter()
             .map(|r| self.compare(r.benchmark, r.technique, r.l2_latency, r.temperature_c))
@@ -890,9 +880,9 @@ impl Study {
     /// [`stream_interleaved`] order (a study has one seed, so a stream is
     /// a benchmark): the workers' first runs need distinct streams, so
     /// cold streams generate side by side instead of queuing on one.
-    fn run_batch(&self, threads: usize, specs: &[RunSpec]) -> Result<(), StudyError> {
+    fn run_batch(&self, specs: &[RunSpec]) -> Result<(), StudyError> {
         let order = stream_interleaved(specs, |spec| spec.benchmark);
-        crate::parallel::map_ordered(threads, &order, |spec| {
+        crate::parallel::map_ordered(self.threads, &order, |spec| {
             self.cache
                 .get_or_run(spec.key, || {
                     self.ctx
@@ -928,33 +918,6 @@ impl Study {
             })
             .collect();
         self.compare_many(&requests)
-    }
-
-    /// [`Study::interval_sweep`] with an explicit worker count for this
-    /// call only; the run cache is shared with the rest of the study.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StudyError`] on invalid operating points or geometry.
-    pub fn interval_sweep_par(
-        &self,
-        benchmark: Benchmark,
-        kind: TechniqueKind,
-        l2_latency: u32,
-        temperature_c: f64,
-        intervals: &[u64],
-        threads: usize,
-    ) -> Result<Vec<RunResult>, StudyError> {
-        let requests: Vec<CompareRequest> = intervals
-            .iter()
-            .map(|&interval| CompareRequest {
-                benchmark,
-                technique: technique_of(kind, interval),
-                l2_latency,
-                temperature_c,
-            })
-            .collect();
-        self.compare_many_with(threads.max(1), &requests)
     }
 
     /// Finds the best (max net savings) interval for one benchmark and

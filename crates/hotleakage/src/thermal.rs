@@ -2,7 +2,7 @@
 //!
 //! Leakage depends exponentially on temperature, and temperature depends on
 //! total power — a positive feedback loop that the paper's authors study in
-//! their temperature-aware work (Skadron et al., cited as [28]/[29]). This
+//! their temperature-aware work (Skadron et al., cited as \[28\]/\[29\]). This
 //! module provides the minimal closed-loop companion to the leakage model:
 //! a single thermal RC node
 //!

@@ -18,7 +18,7 @@
 //! * [`metrics`] — observation-partition count, min-entropy leakage,
 //!   Welch-t distinguishability and its seeded-permutation null over
 //!   the quantized probe-timing alphabet;
-//! * [`sweep`] — the policy × Table-3-interval measurement matrix
+//! * [`mod@sweep`] — the policy × Table-3-interval measurement matrix
 //!   behind `BENCH_leakage.json` and the leakage-vs-energy-delay
 //!   figure.
 //!

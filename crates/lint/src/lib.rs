@@ -28,9 +28,10 @@
 //!   `core::parallel` (the workspace's one fanout primitive). Anywhere
 //!   else, ad-hoc concurrency bypasses the job queue's backpressure and
 //!   the deterministic ordered-map discipline.
-//! * **`no-alloc-in-sweep`** — the decay timing wheel
-//!   (`cachesim::wheel`) promises zero steady-state allocation: every
-//!   schedule/cancel/advance runs on preallocated parallel arrays, so any
+//! * **`no-alloc-in-sweep`** — the decay ring of wrap buckets
+//!   (`crates/cachesim/src/wheel.rs`) promises zero steady-state
+//!   allocation: every schedule/cancel/pop runs on preallocated parallel
+//!   arrays, so any
 //!   allocating construct there (`vec!`, `Vec::new`, `.collect()`,
 //!   `Box::new`, `format!`, …) is either one-time construction (marked as
 //!   such) or a hot-path regression.
@@ -111,7 +112,7 @@ pub const NO_ALLOC_FILES: &[&str] = &["crates/cachesim/src/wheel.rs"];
 
 /// Crates whose emitted numbers must be pure functions of the seed
 /// (prefix-matched): the timing-leakage harness. All timing there is
-/// simulated [`units::Cycles`]; a wall-clock read anywhere in the crate
+/// simulated `units::Cycles`; a wall-clock read anywhere in the crate
 /// injects host noise into a security measurement.
 pub const WALLCLOCK_FREE_CRATES: &[&str] = &["crates/leakage/"];
 
@@ -957,7 +958,7 @@ mod tests {
 
     #[test]
     fn alloc_on_the_wheel_hot_path_fires() {
-        let src = "fn cascade(&mut self) {\n    let moved: Vec<u32> = self.ids.to_vec();\n}\n";
+        let src = "fn rebucket(&mut self) {\n    let moved: Vec<u32> = self.ids.to_vec();\n}\n";
         let v = scan_content(&rel("crates/cachesim/src/wheel.rs"), src);
         assert!(v.iter().any(|v| v.rule == Rule::NoAllocInSweep), "{v:?}");
 

@@ -2,13 +2,13 @@
 //! ever a dev-dependency (CI rejects it in any normal dependency graph).
 //!
 //! [`ReferenceCache`] is the retained naive full-sweep cache model: the
-//! executable specification the wheel-based [`cachesim::Cache`] is
+//! executable specification the ring-based [`cachesim::Cache`] is
 //! differentially tested against.
 //!
 //! This is the pre-wheel implementation, kept byte-for-byte in behavior:
 //! array-of-structs line storage, and a per-wrap `sweep` that walks every
 //! line at every quarter-interval global-counter wrap. It is O(lines) per
-//! wrap — exactly the cost the timing wheel removes — which makes it slow
+//! wrap — exactly the cost the decay ring removes — which makes it slow
 //! but obviously correct, and that is its job: the
 //! `wheel_equivalence` suite drives [`ReferenceCache`] and [`cachesim::Cache`]
 //! in lockstep over random traces (including mid-run

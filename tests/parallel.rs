@@ -81,13 +81,12 @@ fn interval_sweep_par_matches_sequential_sweep() {
         )
         .expect("sequential sweep");
     let par = study(4)
-        .interval_sweep_par(
+        .interval_sweep(
             Benchmark::Gzip,
             TechniqueKind::Drowsy,
             11,
             110.0,
             &intervals,
-            4,
         )
         .expect("parallel sweep");
     assert_eq!(seq, par);
